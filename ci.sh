@@ -18,7 +18,7 @@
 # ASan+UBSan (the asan-db preset), and every db gate is followed by a
 # tmpdir hygiene check: tests and benches must remove their page files.
 #
-#   ./ci.sh            # tier-1 + perf-smoke + tsan commit/stress + tsan/asan net + asan-db
+#   ./ci.sh            # tier-1 + perf-smoke + e2ebench selftest + tsan commit/stress + tsan/asan net + asan-db
 #   ./ci.sh --tier1    # tier-1 only (fast path)
 #   JOBS=8 ./ci.sh     # override parallelism
 set -euo pipefail
@@ -93,6 +93,14 @@ echo "==> perf-smoke: bench_evm --smoke (interpreter + analysis-cache gates)"
 # below 99% under the mainnet profile, or a per-profile state-root mismatch
 # between the two interpreters.
 timeout 180 ./build/bench/bench_evm --smoke
+
+echo "==> e2ebench: run.py --selftest (two-node lifecycle benchmark's own tests)"
+# Builds the standalone e2ebench project (Release, under .bench_build/) and
+# runs its self-tests: the compute contract's output on both interpreters,
+# byte-identical inputs per seed, every workload's chain run passing its
+# correctness checks with identical fingerprints traced and untraced, and a
+# different seed giving a different fingerprint.
+timeout 900 python3 e2ebench/run.py --selftest
 
 echo "==> tsan: configure + build (BLOCKPILOT_SANITIZE=thread)"
 cmake --preset tsan >/dev/null

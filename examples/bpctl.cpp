@@ -9,7 +9,10 @@
 //   bpctl import --in FILE [--preset NAME]
 //       replay an archive into a fresh node and verify every block
 //
-// Presets: mainnet (default), low, high, nft.
+// Presets: mainnet (default), low, high, nft.  An unknown command, flag or
+// preset, a flag without a value, or a non-numeric count prints usage and
+// exits 2.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -32,6 +35,11 @@ struct Options {
   std::string file;
 };
 
+bool known_preset(const std::string& name) {
+  return name == "mainnet" || name == "low" || name == "high" ||
+         name == "nft";
+}
+
 workload::WorkloadConfig preset_by_name(const std::string& name) {
   if (name == "low") return workload::preset_low_conflict();
   if (name == "high") return workload::preset_high_conflict();
@@ -47,28 +55,61 @@ evm::BlockContext ctx_for(std::uint64_t height) {
   return ctx;
 }
 
+// Parses a whole decimal count in [min, max]; no sign, no trailing junk.
+template <typename T>
+bool parse_count(const std::string& flag, const std::string& value, T min,
+                 T max, T& out) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (value.empty() || ec != std::errc{} || ptr != end || parsed < min ||
+      parsed > max) {
+    std::fprintf(stderr, "%s needs a whole number in [%lld, %lld], got '%s'\n",
+                 flag.c_str(), static_cast<long long>(min),
+                 static_cast<long long>(max), value.c_str());
+    return false;
+  }
+  out = parsed;
+  return true;
+}
+
 bool parse(int argc, char** argv, Options& opt) {
   if (argc < 2) return false;
   opt.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  if (opt.command != "chain" && opt.command != "sweep" &&
+      opt.command != "export" && opt.command != "import") {
+    std::fprintf(stderr, "unknown command: %s\n", opt.command.c_str());
+    return false;
+  }
+  for (int i = 2; i < argc; i += 2) {
     const std::string flag = argv[i];
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "flag %s needs a value\n", flag.c_str());
+      return false;
+    }
     const std::string value = argv[i + 1];
+    bool ok = true;
     if (flag == "--heights") {
-      opt.heights = std::stoull(value);
+      ok = parse_count<std::uint64_t>(flag, value, 0, 1'000'000, opt.heights);
     } else if (flag == "--threads") {
-      opt.threads = std::stoul(value);
+      ok = parse_count<std::size_t>(flag, value, 1, 256, opt.threads);
     } else if (flag == "--txs") {
-      opt.txs = std::stoul(value);
+      ok = parse_count<std::size_t>(flag, value, 0, 1'000'000, opt.txs);
     } else if (flag == "--blocks") {
-      opt.blocks = std::stoi(value);
+      ok = parse_count<int>(flag, value, 1, 1'000'000, opt.blocks);
     } else if (flag == "--preset") {
       opt.preset = value;
+      if (!known_preset(value)) {
+        std::fprintf(stderr, "unknown preset: %s\n", value.c_str());
+        ok = false;
+      }
     } else if (flag == "--out" || flag == "--in") {
       opt.file = value;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return false;
+      ok = false;
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -264,7 +305,5 @@ int main(int argc, char** argv) {
   if (opt.command == "chain") return cmd_chain(opt);
   if (opt.command == "sweep") return cmd_sweep(opt);
   if (opt.command == "export") return cmd_export(opt);
-  if (opt.command == "import") return cmd_import(opt);
-  std::fprintf(stderr, "unknown command: %s\n", opt.command.c_str());
-  return 2;
+  return cmd_import(opt);
 }

@@ -116,7 +116,7 @@ class AsyncReader {
   std::future<ReadResult> issue(const Hash256& hash);
 
   /// Fire-and-forget warm-up: fetches every hash and feeds each encoding
-  /// to `warm` (e.g. NodeCache interning) on the pool.  Returns the number
+  /// to `warm` (e.g. a cache fill) on the pool.  Returns the number
   /// of fetches issued; wait_idle() on the pool to rendezvous.
   std::size_t warm(std::span<const Hash256> hashes,
                    std::function<void(std::span<const std::uint8_t>)> warm);

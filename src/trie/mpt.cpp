@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "crypto/keccak.hpp"
 #include "db/node_store.hpp"
 #include "rlp/rlp.hpp"
 #include "support/assert.hpp"
@@ -323,27 +324,25 @@ NodePtr remove(NodePtr node, std::span<const std::uint8_t> key,
 
 namespace detail {
 
-const Bytes& node_ref(const MptNode* node) {
+std::span<const std::uint8_t> node_ref(const MptNode* node) {
   // Fast path: published memo.
-  if (node->ref_ready.load(std::memory_order_acquire))
-    return node->cached_ref;
+  if (node->ref_ready.load(std::memory_order_acquire)) return node->ref();
   // Serialize the first computation across tries sharing this node.  Lock
   // order is strictly parent-before-child along an acyclic node graph, so
   // nested acquisition in encode_node below cannot deadlock.
   while (node->ref_lock.test_and_set(std::memory_order_acquire)) {
   }
   if (!node->ref_ready.load(std::memory_order_relaxed)) {
-    Bytes encoded = encode_node(node);
+    const Bytes encoded = encode_node(node);
     if (encoded.size() < 32) {
-      node->cached_ref = std::move(encoded);
+      node->set_ref(encoded);
     } else {
-      const Hash256 digest = NodeCache::global().hash_of(std::span(encoded));
-      node->cached_ref.assign(digest.bytes.begin(), digest.bytes.end());
+      node->set_ref(crypto::keccak256(std::span(encoded)));
     }
     node->ref_ready.store(true, std::memory_order_release);
   }
   node->ref_lock.clear(std::memory_order_release);
-  return node->cached_ref;
+  return node->ref();
 }
 
 // A reference to a child node: inline RLP when < 32 bytes, else the keccak
@@ -353,11 +352,11 @@ void append_reference(rlp::Encoder& enc, const Node* node) {
     enc.add(std::span<const std::uint8_t>{});
     return;
   }
-  const Bytes& ref = node_ref(node);
+  const std::span<const std::uint8_t> ref = node_ref(node);
   if (ref.size() < 32) {
-    enc.add_raw(std::span(ref));
+    enc.add_raw(ref);
   } else {
-    enc.add(std::span<const std::uint8_t>(ref));
+    enc.add(ref);
   }
 }
 
@@ -399,8 +398,9 @@ std::shared_ptr<MptNode> child_from_item(const rlp::Item& item,
   if (item.is_list) {
     auto n = std::make_shared<MptNode>();
     fill_from_item(*n, item, store);
-    n->cached_ref = rlp::encode_item(item);
-    BP_ASSERT(n->cached_ref.size() < 32);
+    const Bytes ref = rlp::encode_item(item);
+    BP_ASSERT(ref.size() < 32);
+    n->set_ref(ref);
     n->ref_ready.store(true, std::memory_order_release);
     return n;
   }
@@ -419,31 +419,30 @@ void load_stub(const MptNode* node) {
   }
   if (!node->loaded.load(std::memory_order_relaxed)) {
     BP_ASSERT_MSG(node->store != nullptr, "stub without a backing store");
-    BP_ASSERT(node->cached_ref.size() == 32);
+    BP_ASSERT(node->ref_len == 32);
     Hash256 h;
-    std::memcpy(h.bytes.data(), node->cached_ref.data(), 32);
+    h.bytes = node->cached_ref;
     // Read-through the global NodeCache: a hit skips the store entirely; a
-    // miss fetches, then interns (hash_of) which also verifies integrity.
+    // miss fetches, verifies the encoding against its ref, then caches it.
     auto& cache = NodeCache::global();
     Bytes enc;
-    if (auto cached = cache.encoding_of(h); cached.has_value()) {
+    if (auto cached = cache.find(h); cached.has_value()) {
       cache.count_load_hit();
       enc = std::move(*cached);
     } else {
       cache.count_load_miss();
-      std::vector<std::uint8_t> fetched;
-      const db::Status st = node->store->get(h, fetched);
+      const db::Status st = node->store->get(h, enc);
       BP_ASSERT_MSG(st.ok(), "node store lost a node the trie references");
-      const Hash256 check = cache.hash_of(std::span(fetched));
-      BP_ASSERT_MSG(check == h, "stored encoding does not hash to its ref");
-      enc = std::move(fetched);
+      BP_ASSERT_MSG(Hash256{crypto::keccak256(std::span(enc))} == h,
+                    "stored encoding does not hash to its ref");
+      cache.insert(h, std::span(enc));
     }
     auto* mut = const_cast<MptNode*>(node);
     fill_from_item(*mut, rlp::decode(std::span(enc)), node->store);
     // A tiny (< 32 byte) encoding can only be a root loaded eagerly by
     // from_root (a child stub implies a hashed parent ref): rewrite the
     // memo to the canonical inline form before anyone else can see it.
-    if (enc.size() < 32) mut->cached_ref = std::move(enc);
+    if (enc.size() < 32) mut->set_ref(enc);
     mut->loaded.store(true, std::memory_order_release);
   }
   node->ref_lock.clear(std::memory_order_release);
@@ -509,7 +508,7 @@ void MerklePatriciaTrie::erase(std::span<const std::uint8_t> key) {
 
 Hash256 MerklePatriciaTrie::root_hash() const {
   if (root_ == nullptr) return empty_root();
-  const Bytes& ref = detail::node_ref(root_.get());
+  const std::span<const std::uint8_t> ref = detail::node_ref(root_.get());
   if (ref.size() == 32) {
     Hash256 h;
     std::memcpy(h.bytes.data(), ref.data(), 32);
@@ -517,7 +516,7 @@ Hash256 MerklePatriciaTrie::root_hash() const {
   }
   // Tiny root whose encoding inlines below 32 bytes: the root is always
   // hashed regardless (yellow paper), and the inline ref IS the encoding.
-  return Hash256{crypto::keccak256(std::span(ref))};
+  return Hash256{crypto::keccak256(ref)};
 }
 
 MerklePatriciaTrie MerklePatriciaTrie::from_root(const Hash256& root,
@@ -550,7 +549,7 @@ namespace {
 // differently: the rewritten file is adopted atomically via the manifest,
 // never as a partially-trusted prefix.)
 std::size_t persist_subtree(const Node* node, db::NodeStore& store) {
-  const Bytes& ref = detail::node_ref(node);
+  const std::span<const std::uint8_t> ref = detail::node_ref(node);
   BP_ASSERT(ref.size() == 32);
   Hash256 h;
   std::memcpy(h.bytes.data(), ref.data(), 32);
@@ -578,13 +577,13 @@ std::size_t persist_subtree(const Node* node, db::NodeStore& store) {
 
 std::size_t MerklePatriciaTrie::persist_nodes(db::NodeStore& store) const {
   if (root_ == nullptr) return 0;
-  const Bytes& ref = detail::node_ref(root_.get());
+  const std::span<const std::uint8_t> ref = detail::node_ref(root_.get());
   if (ref.size() == 32) return persist_subtree(root_.get(), store);
   // Tiny root: its inline ref IS the encoding; store it under its keccak so
   // from_root(root_hash()) can find it.
-  const Hash256 h{crypto::keccak256(std::span(ref))};
+  const Hash256 h{crypto::keccak256(ref)};
   if (store.contains(h)) return 0;
-  const db::Status st = store.put(h, std::span(ref));
+  const db::Status st = store.put(h, ref);
   BP_ASSERT_MSG(st.ok(), "node store put failed");
   return 1;
 }

@@ -16,9 +16,11 @@
 // the commit pool, the memo is guarded by a per-node spinlock.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <memory>
+#include <span>
 
 #include "crypto/keccak.hpp"
 #include "rlp/rlp.hpp"
@@ -44,12 +46,14 @@ struct MptNode {
   std::array<std::shared_ptr<MptNode>, 16> children;
 
   // Memoized node reference: inline RLP when < 32 bytes, else the 32-byte
-  // keccak digest.  `ref_ready` is the publication flag; `ref_lock` is a
-  // spinlock that serializes the (rare) concurrent first computation when
-  // two tries sharing this node hash at the same time.
+  // keccak digest, stored in place (ref_len bytes of cached_ref) so the
+  // memo costs no heap allocation.  `ref_ready` is the publication flag;
+  // `ref_lock` is a spinlock that serializes the (rare) concurrent first
+  // computation when two tries sharing this node hash at the same time.
   mutable std::atomic<bool> ref_ready{false};
   mutable std::atomic_flag ref_lock = ATOMIC_FLAG_INIT;
-  mutable Bytes cached_ref;
+  mutable std::uint8_t ref_len = 0;
+  mutable std::array<std::uint8_t, 32> cached_ref{};
 
   // Disk-backed stub support: a stub carries only its 32-byte reference
   // (ref_ready is true from birth, so hashing a trie of stubs never touches
@@ -65,6 +69,18 @@ struct MptNode {
   /// the node (mutation contract), so no locking is needed.
   void invalidate_ref() noexcept {
     ref_ready.store(false, std::memory_order_relaxed);
+  }
+
+  /// The memoized reference bytes (valid once ref_ready is published).
+  std::span<const std::uint8_t> ref() const noexcept {
+    return {cached_ref.data(), ref_len};
+  }
+  /// Overwrites the memo; `r` is an inline encoding (< 32 bytes) or a
+  /// digest.  Callers publish it through ref_ready or own the node.
+  void set_ref(std::span<const std::uint8_t> r) const noexcept {
+    BP_ASSERT(r.size() <= cached_ref.size());
+    std::copy(r.begin(), r.end(), cached_ref.begin());
+    ref_len = static_cast<std::uint8_t>(r.size());
   }
 
   static std::shared_ptr<MptNode> leaf(Nibbles p, Bytes v) {
@@ -93,7 +109,7 @@ struct MptNode {
                                        const db::NodeStore* s) {
     auto n = std::make_shared<MptNode>();
     n->kind = Kind::kBranch;  // placeholder until loaded
-    n->cached_ref.assign(hash.bytes.begin(), hash.bytes.end());
+    n->set_ref(hash.bytes);
     n->store = s;
     n->loaded.store(false, std::memory_order_relaxed);
     n->ref_ready.store(true, std::memory_order_release);
@@ -109,12 +125,13 @@ Bytes encode_node(const MptNode* node);
 void append_reference(rlp::Encoder& enc, const MptNode* node);
 
 // The node's memoized reference (computing and caching it on first use).
-const Bytes& node_ref(const MptNode* node);
+// The span stays valid while the node is alive and unmutated.
+std::span<const std::uint8_t> node_ref(const MptNode* node);
 
 // Materializes an unloaded stub from its store (read-through the global
-// NodeCache).  Aborts on a missing or corrupt node — a stub's hash was
-// produced by a persisted parent, so absence means the store broke its
-// durability contract.
+// NodeCache, keyed by the stub's hash).  Aborts on a missing or corrupt
+// node — a stub's hash was produced by a persisted parent, so absence means
+// the store broke its durability contract.
 void load_stub(const MptNode* node);
 
 /// Ensures structural fields (kind/path/value/children) are readable.

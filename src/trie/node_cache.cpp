@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "crypto/keccak.hpp"
-
 namespace blockpilot::trie {
 
 NodeCache::NodeCache(std::size_t capacity_bytes)
@@ -19,6 +17,14 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+// Sketch fingerprint: the digest's leading 8 bytes.  A keccak digest is
+// already uniform, so no further hashing is needed.
+std::uint64_t fingerprint(const Hash256& h) noexcept {
+  std::uint64_t fp;
+  std::memcpy(&fp, h.bytes.data(), sizeof(fp));
+  return fp;
 }
 
 }  // namespace
@@ -52,19 +58,6 @@ void NodeCache::FreqSketch::reset() noexcept {
   samples = 0;
 }
 
-NodeCache::Shard& NodeCache::shard_for(
-    std::span<const std::uint8_t> encoding) {
-  // Cheap stable shard choice: FNV over a prefix is enough to spread nodes.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const std::size_t probe = encoding.size() < 16 ? encoding.size() : 16;
-  for (std::size_t i = 0; i < probe; ++i) {
-    h ^= encoding[i];
-    h *= 0x100000001b3ULL;
-  }
-  h ^= encoding.size();
-  return shards_[h % kShards];
-}
-
 // CLOCK sweep to the next victim.  Referenced entries get their second
 // chance (bit cleared, hand advances); the sweep stops at the first
 // unreferenced entry.  Terminates in at most two passes over the ring
@@ -85,90 +78,64 @@ NodeCache::MapNode* NodeCache::clock_victim(Shard& s) {
 // One CLOCK sweep step ending in an eviction of the current victim.
 void NodeCache::evict_one(Shard& s) {
   MapNode* node = clock_victim(s);
-  s.bytes -= entry_bytes(node->first.size());
-  const auto rit = s.by_hash.find(node->second.hash);
-  if (rit != s.by_hash.end() && rit->second == node) s.by_hash.erase(rit);
+  s.bytes -= entry_bytes(node->second.encoding.size());
   s.hand = s.ring.erase(s.hand);
-  const auto mit = s.by_encoding.find(node->first);
-  s.by_encoding.erase(mit);
+  s.entries.erase(s.entries.find(node->first));
   ++s.evictions;
 }
 
-// Sketch fingerprint: FNV-1a over the whole encoding (the same function
-// BytesHash uses for the map, but computable from the span directly).
-static std::uint64_t fingerprint_of(
-    std::span<const std::uint8_t> encoding) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t byte : encoding) {
-    h ^= byte;
-    h *= 0x100000001b3ULL;
+std::optional<std::vector<std::uint8_t>> NodeCache::find(const Hash256& h) {
+  if (shard_capacity_.load(std::memory_order_relaxed) == 0) {
+    bypassed_.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
   }
-  return h;
+  Shard& s = shards_[shard_index(h)];
+  std::scoped_lock lk(s.mu);
+  s.sketch.record(fingerprint(h));
+  const auto it = s.entries.find(h);
+  if (it == s.entries.end()) {
+    ++s.misses;
+    return std::nullopt;
+  }
+  ++s.hits;
+  it->second.referenced = true;  // second chance on the next sweep
+  return it->second.encoding;
 }
 
-Hash256 NodeCache::hash_of(std::span<const std::uint8_t> encoding) {
+void NodeCache::insert(const Hash256& h,
+                       std::span<const std::uint8_t> encoding) {
   const std::size_t cap = shard_capacity_.load(std::memory_order_relaxed);
-  if (cap == 0) {
+  const std::size_t need = entry_bytes(encoding.size());
+  if (need > cap) {  // capacity 0, or a jumbo entry never worth a shard
     bypassed_.fetch_add(1, std::memory_order_relaxed);
-    return Hash256{crypto::keccak256(encoding)};
+    return;
   }
-
-  Shard& s = shard_for(encoding);
-  Bytes key(encoding.begin(), encoding.end());
+  Shard& s = shards_[shard_index(h)];
   std::scoped_lock lk(s.mu);
-  const auto it = s.by_encoding.find(key);
-  if (it != s.by_encoding.end()) {
-    ++s.hits;
-    it->second.referenced = true;  // second chance on the next sweep
-    s.sketch.record(it->second.fp);
-    return it->second.hash;
-  }
-  ++s.misses;
-  const Hash256 digest{crypto::keccak256(encoding)};
-  const std::uint64_t fp = fingerprint_of(encoding);
-  s.sketch.record(fp);
-  const std::size_t need = entry_bytes(key.size());
-  if (need > cap) {  // jumbo entry: never worth a whole shard
-    bypassed_.fetch_add(1, std::memory_order_relaxed);
-    return digest;
-  }
+  if (s.entries.contains(h)) return;
   if (s.bytes + need > cap && !s.ring.empty()) {
     // TinyLFU admission: a full shard only trades its CLOCK victim for a
     // candidate at least as frequent.  Ties admit, so a workload with no
-    // re-use (every estimate 1) degenerates to plain CLOCK/FIFO; one-shot
-    // scan traffic against a reheated working set is rejected here.
-    MapNode* victim = clock_victim(s);
-    if (s.sketch.estimate(fp) < s.sketch.estimate(victim->second.fp)) {
+    // re-use (every estimate equal) degenerates to plain CLOCK/FIFO;
+    // one-shot scan traffic against a reheated working set is rejected here.
+    const MapNode* victim = clock_victim(s);
+    if (s.sketch.estimate(fingerprint(h)) <
+        s.sketch.estimate(fingerprint(victim->first))) {
       ++s.rejected;
-      return digest;
+      return;
     }
   }
   while (s.bytes + need > cap && !s.ring.empty()) evict_one(s);
-  const auto [slot, inserted] = s.by_encoding.emplace(
-      std::move(key), Entry{digest, /*referenced=*/false, fp});
-  if (inserted) {
-    MapNode* node = &*slot;
-    // Insert just behind the hand: the new entry is the last the current
-    // sweep cycle examines, so with no intervening hits the eviction order
-    // is exactly insertion order (FIFO with second chances).
-    s.ring.insert(s.hand, node);
-    s.by_hash[digest] = node;
-    s.bytes += need;
-  }
-  return digest;
-}
-
-std::optional<std::vector<std::uint8_t>> NodeCache::encoding_of(
-    const Hash256& h) {
-  for (Shard& s : shards_) {
-    std::scoped_lock lk(s.mu);
-    const auto it = s.by_hash.find(h);
-    if (it != s.by_hash.end()) {
-      it->second->second.referenced = true;  // CLOCK second chance
-      return it->second->first;
-    }
-  }
-  return std::nullopt;
+  const auto slot =
+      s.entries
+          .emplace(h, Entry{{encoding.begin(), encoding.end()},
+                            /*referenced=*/false})
+          .first;
+  // Insert just behind the hand: the new entry is the last the current
+  // sweep cycle examines, so with no intervening hits the eviction order is
+  // exactly insertion order (FIFO with second chances).
+  s.ring.insert(s.hand, &*slot);
+  s.bytes += need;
 }
 
 NodeCache::Stats NodeCache::stats() const {
@@ -183,7 +150,7 @@ NodeCache::Stats NodeCache::stats() const {
     out.misses += s.misses;
     out.evictions += s.evictions;
     out.rejected += s.rejected;
-    out.entries += s.by_encoding.size();
+    out.entries += s.entries.size();
     out.bytes += s.bytes;
   }
   return out;
@@ -192,8 +159,7 @@ NodeCache::Stats NodeCache::stats() const {
 void NodeCache::clear() {
   for (Shard& s : shards_) {
     std::scoped_lock lk(s.mu);
-    s.by_encoding.clear();
-    s.by_hash.clear();
+    s.entries.clear();
     s.ring.clear();
     s.hand = s.ring.end();
     s.sketch.reset();

@@ -1,14 +1,17 @@
-// NodeCache: a bounded, hash-consed cache of MPT node encodings.
+// NodeCache: a bounded read cache of MPT node encodings, keyed by node hash.
 //
-// State commitment spends most of its time keccak-hashing node encodings.
-// Distinct tries frequently contain bit-identical nodes — sibling blocks at
-// one height share almost the whole account trie, a from-scratch rebuild
-// re-creates every node of the incremental trie, and hot contracts repeat
-// storage-subtree shapes.  The cache interns `encoding -> keccak(encoding)`
-// so the second computation of any node hash is a map lookup instead of a
-// keccak permutation, and keeps the reverse `hash -> encoding` index so
-// tooling (proof debugging, the commit bench) can resolve a node by its
-// hash.
+// A trie reopened from a NodeStore (MerklePatriciaTrie::from_root) starts as
+// a single stub and materializes each node from disk on first traversal.
+// This cache sits in front of that load: detail::load_stub asks find(hash)
+// first and, on a miss, fetches from the store, checks that the encoding
+// hashes to its reference, and insert()s it.  Node hashing itself never
+// touches the cache — each node memoizes its own reference
+// (MptNode::cached_ref), so a global hash-consing table would only ever see
+// freshly built nodes and pay its lookups for nothing.
+//
+// Keys are keccak digests, which are already uniform, so the shard and the
+// admission sketch's fingerprint are read straight off the digest's leading
+// bytes — no second hash over the encoding.
 //
 // Capacity is accounted in *bytes* (encoding length plus a fixed per-entry
 // overhead), not entry counts, so a cache full of fat branch nodes and one
@@ -16,14 +19,14 @@
 // (second-chance): a hit sets the entry's reference bit; the sweep hand
 // clears set bits and evicts the first clear entry it meets, so the policy
 // degenerates to FIFO exactly when nothing is re-used.  Admission is
-// TinyLFU-style: each shard keeps a count-min frequency sketch over node
-// fingerprints, and a miss on a full shard is cached only when the
-// candidate's estimated frequency is at least the CLOCK victim's — one-shot
-// encodings from big-state scans stop cycling hot shards, while an equal
-// -frequency candidate still wins so a pure-FIFO workload behaves exactly
-// as before.  Sharded to keep the commit pool's concurrent root
-// computations from serializing on one mutex.  Hit/miss/eviction/rejection
-// /byte counters are exposed for benches and tests.
+// TinyLFU-style: each shard keeps a count-min frequency sketch over the
+// hashes it is asked for, and an insert into a full shard is admitted only
+// when the candidate's estimated frequency is at least the CLOCK victim's —
+// one-shot loads from big-state scans stop cycling hot shards, while an
+// equal-frequency candidate still wins so a pure-FIFO workload behaves
+// exactly as plain CLOCK.  Sharded so concurrent loads on the commit pool do
+// not serialize on one mutex.  Lookup, eviction, rejection and byte counters
+// plus the trie's stub-load counters are exposed for benches and tests.
 #pragma once
 
 #include <array>
@@ -43,12 +46,12 @@ namespace blockpilot::trie {
 class NodeCache {
  public:
   struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
+    std::uint64_t hits = 0;    // find() calls answered from the cache
+    std::uint64_t misses = 0;  // find() calls that were not
     std::uint64_t evictions = 0;
-    std::uint64_t rejected = 0;  // misses denied admission by the sketch
-    std::uint64_t bypassed = 0;  // hash_of calls that skipped the cache
-                                 // entirely (capacity 0, or jumbo encoding)
+    std::uint64_t rejected = 0;  // inserts denied admission by the sketch
+    std::uint64_t bypassed = 0;  // calls that skipped the cache entirely
+                                 // (capacity 0, or a jumbo insert)
     std::uint64_t load_hits = 0;    // disk-backed stub loads served here
     std::uint64_t load_misses = 0;  // stub loads that had to hit the store
     std::size_t entries = 0;
@@ -56,11 +59,11 @@ class NodeCache {
     std::size_t capacity = 0;  // byte budget across all shards
   };
 
-  /// Default byte budget (~the old 2^16-entry bound at typical node sizes).
+  /// Default byte budget.
   static constexpr std::size_t kDefaultCapacity = std::size_t{16} << 20;
 
   /// Fixed accounting overhead charged per entry on top of the encoding
-  /// length: digest (32B) plus map/ring bookkeeping.
+  /// length: key digest (32B) plus map/ring bookkeeping.
   static constexpr std::size_t kEntryOverhead = 96;
 
   /// Bytes one cached entry of the given encoding length is charged.
@@ -70,17 +73,17 @@ class NodeCache {
 
   explicit NodeCache(std::size_t capacity_bytes = kDefaultCapacity);
 
-  /// Hash-consed keccak of a node encoding: returns the memoized digest when
-  /// an identical encoding was hashed before, computing and interning it
-  /// otherwise.  A capacity of 0 disables interning (plain keccak); an
-  /// encoding whose entry_bytes() alone exceeds a shard's budget is hashed
-  /// but never cached.
-  Hash256 hash_of(std::span<const std::uint8_t> encoding);
+  /// The cached encoding of the node with hash `h`, or nullopt.  A hit sets
+  /// the entry's CLOCK reference bit; hit or miss, the lookup counts toward
+  /// the hash's admission frequency.  At capacity 0 the cache is bypassed.
+  std::optional<std::vector<std::uint8_t>> find(const Hash256& h);
 
-  /// Reverse lookup: the RLP encoding of a cached node by its hash.  A hit
-  /// counts as a reference for CLOCK (the read-through path keeps hot disk
-  /// nodes resident).
-  std::optional<std::vector<std::uint8_t>> encoding_of(const Hash256& h);
+  /// Offers `encoding` (whose keccak must be `h`; the caller verifies) for
+  /// caching.  An encoding whose entry_bytes() alone exceeds a shard's
+  /// budget is never cached, nor is anything at capacity 0; a full shard
+  /// admits it only past the TinyLFU check.  Re-inserting a resident hash
+  /// is a no-op.
+  void insert(const Hash256& h, std::span<const std::uint8_t> encoding);
 
   /// Read-through accounting for the trie's disk-backed stub loads (the
   /// load itself lives in mpt.cpp; the cache only owns the counters so one
@@ -104,31 +107,24 @@ class NodeCache {
   void set_capacity(std::size_t capacity_bytes);
   std::size_t capacity() const;
 
-  /// The process-wide cache the trie layer's node hashing goes through.
+  /// The process-wide cache the trie layer's stub loads read through.
   static NodeCache& global();
 
+  static constexpr std::size_t kShards = 8;
+
+  /// The shard a hash lives in: the low bits of its first byte.
+  static constexpr std::size_t shard_index(const Hash256& h) noexcept {
+    return h.bytes[0] % kShards;
+  }
+
  private:
-  using Bytes = std::vector<std::uint8_t>;
-
-  struct BytesHash {
-    std::size_t operator()(const Bytes& b) const noexcept {
-      std::uint64_t h = 0xcbf29ce484222325ULL;
-      for (const std::uint8_t byte : b) {
-        h ^= byte;
-        h *= 0x100000001b3ULL;
-      }
-      return static_cast<std::size_t>(h);
-    }
-  };
-
   struct Entry {
-    Hash256 hash;
+    std::vector<std::uint8_t> encoding;
     bool referenced = false;  // CLOCK second-chance bit, set on hit
-    std::uint64_t fp = 0;     // sketch fingerprint (full-encoding FNV-1a)
   };
-  // Map nodes are pointer-stable across rehash, so the ring and the reverse
-  // index address entries by node pointer.
-  using MapNode = std::pair<const Bytes, Entry>;
+  // Map nodes are pointer-stable across rehash, so the ring addresses
+  // entries by node pointer.
+  using MapNode = std::pair<const Hash256, Entry>;
 
   /// TinyLFU-style count-min frequency sketch: 4 saturating 4-bit-equivalent
   /// counters per fingerprint, halved wholesale every kSamplePeriod records
@@ -148,11 +144,10 @@ class NodeCache {
 
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<Bytes, Entry, BytesHash> by_encoding;
-    std::unordered_map<Hash256, MapNode*> by_hash;
-    std::list<MapNode*> ring;          // CLOCK order; new entries join
+    std::unordered_map<Hash256, Entry> entries;
+    std::list<MapNode*> ring;            // CLOCK order; new entries join
     std::list<MapNode*>::iterator hand;  // behind the hand
-    FreqSketch sketch;                 // admission filter
+    FreqSketch sketch;                   // admission filter
     std::size_t bytes = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -162,9 +157,6 @@ class NodeCache {
     Shard() : hand(ring.end()) {}
   };
 
-  static constexpr std::size_t kShards = 8;
-
-  Shard& shard_for(std::span<const std::uint8_t> encoding);
   /// Advances the hand to the entry the next eviction would take (clearing
   /// reference bits on the way) without evicting it.  Precondition: the
   /// ring is non-empty.

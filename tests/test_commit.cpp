@@ -1,5 +1,5 @@
 // Asynchronous state-commitment subsystem tests: incremental WorldState
-// roots (differential vs the from-scratch oracle), the hash-consed
+// roots (differential vs the from-scratch oracle), the hash-keyed
 // NodeCache, CommitPipeline ordering, and the async integration through
 // validator / pipeline / blockchain.
 #include <gtest/gtest.h>
@@ -18,16 +18,34 @@ using state::StateKey;
 using state::WorldState;
 
 // ---------------------------------------------------------------------------
-// NodeCache
+// NodeCache: the hash-keyed read cache in front of disk-backed stub loads
 
-TEST(NodeCache, InternsAndCounts) {
+using Encoding = std::vector<std::uint8_t>;
+
+Hash256 keccak_of(const Encoding& enc) {
+  return Hash256{crypto::keccak256(std::span(enc))};
+}
+
+// One read-through load as detail::load_stub performs it: find by hash, and
+// on a miss insert the (already verified) encoding.  Returns whether the
+// cache answered, and checks that a cached answer is the right encoding.
+bool load(trie::NodeCache& cache, const Encoding& enc) {
+  const Hash256 h = keccak_of(enc);
+  if (const auto got = cache.find(h); got.has_value()) {
+    EXPECT_EQ(*got, enc);
+    return true;
+  }
+  cache.insert(h, std::span(enc));
+  return false;
+}
+
+TEST(NodeCache, FindsInsertedEncodingAndCounts) {
   trie::NodeCache cache(4096);
-  const std::vector<std::uint8_t> enc = {0x01, 0x02, 0x03, 0x04};
-  const Hash256 expected{crypto::keccak256(std::span(enc))};
+  const Encoding enc = {0x01, 0x02, 0x03, 0x04};
 
-  EXPECT_EQ(cache.hash_of(std::span(enc)), expected);
-  EXPECT_EQ(cache.hash_of(std::span(enc)), expected);
-  const auto s = cache.stats();
+  EXPECT_FALSE(load(cache, enc));
+  EXPECT_TRUE(load(cache, enc));
+  auto s = cache.stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.entries, 1u);
@@ -35,39 +53,39 @@ TEST(NodeCache, InternsAndCounts) {
   EXPECT_EQ(s.bytes, trie::NodeCache::entry_bytes(enc.size()));
   EXPECT_GE(s.capacity, 4096u);
 
-  // Reverse index resolves the encoding by hash.
-  const auto back = cache.encoding_of(expected);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, enc);
+  // Re-inserting a resident hash is a no-op.
+  cache.insert(keccak_of(enc), std::span(enc));
+  s = cache.stats();
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.bytes, trie::NodeCache::entry_bytes(enc.size()));
+
+  // A hash never inserted is a miss, not a wrong answer.
+  EXPECT_FALSE(cache.find(keccak_of({0x09})).has_value());
 }
 
 TEST(NodeCache, ZeroCapacityBypasses) {
   trie::NodeCache cache(0);
-  const std::vector<std::uint8_t> enc = {0xaa, 0xbb};
-  const Hash256 expected{crypto::keccak256(std::span(enc))};
-  EXPECT_EQ(cache.hash_of(std::span(enc)), expected);
-  EXPECT_EQ(cache.hash_of(std::span(enc)), expected);
+  const Encoding enc = {0xaa, 0xbb};
+  EXPECT_FALSE(load(cache, enc));
+  EXPECT_FALSE(load(cache, enc));
   const auto s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 0u);
   EXPECT_EQ(s.entries, 0u);
+  EXPECT_EQ(s.bypassed, 4u);  // two finds and two inserts skipped the cache
 }
 
 TEST(NodeCache, EvictsWhenFullAndStaysCorrect) {
   // ~1 resident 3-byte entry per shard: every shard is constantly evicting.
   trie::NodeCache cache(8 * trie::NodeCache::entry_bytes(3));
-  std::vector<std::vector<std::uint8_t>> encodings;
+  std::vector<Encoding> encodings;
   for (std::uint8_t i = 0; i < 64; ++i)
     encodings.push_back({i, static_cast<std::uint8_t>(i + 1), 0x7f});
 
-  // Fill far past capacity, then re-query everything: answers must stay
-  // bit-identical to plain keccak whether served from cache or recomputed.
-  for (int round = 0; round < 2; ++round) {
-    for (const auto& enc : encodings) {
-      const Hash256 expected{crypto::keccak256(std::span(enc))};
-      EXPECT_EQ(cache.hash_of(std::span(enc)), expected);
-    }
-  }
+  // Fill far past capacity, then re-load everything: every cached answer
+  // must be the exact encoding stored under that hash (checked in load).
+  for (int round = 0; round < 2; ++round)
+    for (const auto& enc : encodings) load(cache, enc);
   const auto s = cache.stats();
   EXPECT_GT(s.evictions, 0u);
   EXPECT_LE(s.bytes, s.capacity);
@@ -76,11 +94,10 @@ TEST(NodeCache, EvictsWhenFullAndStaysCorrect) {
 
 TEST(NodeCache, ShrinkingCapacityEvicts) {
   trie::NodeCache cache(std::size_t{1} << 20);
-  for (std::uint8_t i = 0; i < 100; ++i) {
-    const std::vector<std::uint8_t> enc = {i, 0x55,
-                                           static_cast<std::uint8_t>(0xff - i)};
-    cache.hash_of(std::span(enc));
-  }
+  std::vector<Encoding> encodings;
+  for (std::uint8_t i = 0; i < 100; ++i)
+    encodings.push_back({i, 0x55, static_cast<std::uint8_t>(0xff - i)});
+  for (const auto& enc : encodings) load(cache, enc);
   EXPECT_EQ(cache.stats().entries, 100u);
   const std::size_t shrunk = 8 * trie::NodeCache::entry_bytes(3);
   cache.set_capacity(shrunk);
@@ -89,36 +106,27 @@ TEST(NodeCache, ShrinkingCapacityEvicts) {
   EXPECT_LE(s.entries, 8u);
   EXPECT_GT(s.evictions, 0u);
   // Survivors still answer correctly after the shrink sweep.
-  for (std::uint8_t i = 0; i < 100; ++i) {
-    const std::vector<std::uint8_t> enc = {i, 0x55,
-                                           static_cast<std::uint8_t>(0xff - i)};
-    EXPECT_EQ(cache.hash_of(std::span(enc)),
-              Hash256{crypto::keccak256(std::span(enc))});
+  std::size_t survivors = 0;
+  for (const auto& enc : encodings) {
+    const auto got = cache.find(keccak_of(enc));
+    if (got.has_value()) {
+      EXPECT_EQ(*got, enc);
+      ++survivors;
+    }
   }
+  EXPECT_EQ(survivors, s.entries);
 }
 
-// Mirror of NodeCache's internal shard choice (FNV over a 16-byte prefix,
-// xor size, mod 8) so the CLOCK tests below can pin all traffic to one
-// shard.  Whitebox by design: if the shard function changes, update both.
-std::size_t shard_index_of(const std::vector<std::uint8_t>& enc) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const std::size_t probe = enc.size() < 16 ? enc.size() : 16;
-  for (std::size_t i = 0; i < probe; ++i) {
-    h ^= enc[i];
-    h *= 0x100000001b3ULL;
-  }
-  h ^= enc.size();
-  return h % 8;
-}
-
-// 3-byte encodings that all land in shard 0, in generation order.
-std::vector<std::vector<std::uint8_t>> shard0_encodings(std::size_t n) {
-  std::vector<std::vector<std::uint8_t>> out;
+// 3-byte encodings whose hashes all land in shard 0, in generation order,
+// so the CLOCK tests below can pin all traffic to one shard.
+std::vector<Encoding> shard0_encodings(std::size_t n) {
+  std::vector<Encoding> out;
   for (std::uint32_t seed = 0; out.size() < n; ++seed) {
-    std::vector<std::uint8_t> enc = {static_cast<std::uint8_t>(seed),
-                                     static_cast<std::uint8_t>(seed >> 8),
-                                     static_cast<std::uint8_t>(seed >> 16)};
-    if (shard_index_of(enc) == 0) out.push_back(std::move(enc));
+    Encoding enc = {static_cast<std::uint8_t>(seed),
+                    static_cast<std::uint8_t>(seed >> 8),
+                    static_cast<std::uint8_t>(seed >> 16)};
+    if (trie::NodeCache::shard_index(keccak_of(enc)) == 0)
+      out.push_back(std::move(enc));
   }
   return out;
 }
@@ -131,18 +139,15 @@ TEST(NodeCache, ClockGivesSecondChanceToHitEntries) {
   const auto& b = encs[1];
   const auto& c = encs[2];
 
-  cache.hash_of(std::span(a));
-  cache.hash_of(std::span(b));  // shard 0 now full: [a, b]
-  cache.hash_of(std::span(a));  // sets a's reference bit
+  load(cache, a);
+  load(cache, b);  // shard 0 now full: [a, b]
+  load(cache, a);  // sets a's reference bit
 
   // Inserting c forces one eviction.  The sweep meets a first (referenced:
   // bit cleared, spared) and evicts b — the second chance in action.
-  cache.hash_of(std::span(c));
-  const auto before = cache.stats();
-  cache.hash_of(std::span(a));
-  EXPECT_EQ(cache.stats().hits, before.hits + 1);  // a survived
-  cache.hash_of(std::span(b));
-  EXPECT_EQ(cache.stats().misses, before.misses + 1);  // b did not
+  load(cache, c);
+  EXPECT_TRUE(load(cache, a));   // a survived
+  EXPECT_FALSE(load(cache, b));  // b did not
 }
 
 TEST(NodeCache, ClockDegeneratesToFifoWithoutHits) {
@@ -152,56 +157,63 @@ TEST(NodeCache, ClockDegeneratesToFifoWithoutHits) {
   const auto& b = encs[1];
   const auto& c = encs[2];
 
-  cache.hash_of(std::span(a));
-  cache.hash_of(std::span(b));
-  cache.hash_of(std::span(c));  // no hits anywhere: evicts a (the oldest)
-  const auto before = cache.stats();
-  cache.hash_of(std::span(b));
-  EXPECT_EQ(cache.stats().hits, before.hits + 1);  // b survived
-  cache.hash_of(std::span(a));
-  EXPECT_EQ(cache.stats().misses, before.misses + 1);  // a was evicted
+  load(cache, a);
+  load(cache, b);
+  load(cache, c);  // no hits anywhere: evicts a (the oldest)
+  EXPECT_TRUE(load(cache, b));   // b survived
+  EXPECT_FALSE(load(cache, a));  // a was evicted
 }
 
 TEST(NodeCache, JumboEncodingBypassesCache) {
   trie::NodeCache cache(8 * 2 * trie::NodeCache::entry_bytes(3));
   const auto resident = shard0_encodings(1);
-  cache.hash_of(std::span(resident[0]));
+  load(cache, resident[0]);
   const auto before = cache.stats();
 
-  // An encoding whose charge alone exceeds a shard's budget is hashed but
-  // never admitted — it must not wipe out the resident entries.
-  std::vector<std::uint8_t> jumbo(4096, 0xEE);
-  EXPECT_EQ(cache.hash_of(std::span(jumbo)),
-            Hash256{crypto::keccak256(std::span(jumbo))});
+  // An encoding whose charge alone exceeds a shard's budget is never
+  // admitted — it must not wipe out the resident entries.
+  const Encoding jumbo(4096, 0xEE);
+  EXPECT_FALSE(load(cache, jumbo));
+  EXPECT_FALSE(load(cache, jumbo));
   const auto after = cache.stats();
   EXPECT_EQ(after.entries, before.entries);
   EXPECT_EQ(after.bytes, before.bytes);
   EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.bypassed, before.bypassed + 2);
+  EXPECT_TRUE(load(cache, resident[0]));
 }
 
 TEST(NodeCache, ClockPropertyRandomizedOps) {
-  // Property sweep: under random insert/hit traffic with mixed encoding
-  // sizes, the byte budget is never exceeded, accounting stays exact, and
-  // the counters are consistent with the operation count.
+  // Property sweep: under random load traffic with mixed encoding sizes,
+  // the byte budget is never exceeded, accounting stays exact, every hit
+  // returns the right encoding, and the counters are consistent with the
+  // operation count.
   trie::NodeCache cache(4 * 1024);
   std::mt19937_64 rng(0xC10C);
   std::uint64_t ops = 0;
-  std::vector<std::vector<std::uint8_t>> pool;
+  std::vector<Encoding> pool;
   for (int i = 0; i < 200; ++i) {
     const std::size_t len = 1 + rng() % 200;
-    std::vector<std::uint8_t> enc(len);
+    Encoding enc(len);
     for (auto& byte : enc) byte = static_cast<std::uint8_t>(rng());
     pool.push_back(std::move(enc));
   }
+  std::size_t resident_bytes = 0;
   for (int op = 0; op < 3000; ++op) {
     const auto& enc = pool[rng() % pool.size()];
     ++ops;
-    ASSERT_EQ(cache.hash_of(std::span(enc)),
-              Hash256{crypto::keccak256(std::span(enc))});
+    load(cache, enc);
     if (op % 64 == 0) {
       const auto s = cache.stats();
       ASSERT_LE(s.bytes, s.capacity);
       ASSERT_LE(s.evictions, s.misses);
+      // Exact accounting: resident bytes are the sum of resident charges.
+      resident_bytes = 0;
+      for (const auto& e : pool)
+        if (cache.find(keccak_of(e)).has_value())
+          resident_bytes += trie::NodeCache::entry_bytes(e.size());
+      ops += pool.size();
+      ASSERT_EQ(s.bytes, resident_bytes);
     }
   }
   const auto s = cache.stats();
@@ -211,10 +223,10 @@ TEST(NodeCache, ClockPropertyRandomizedOps) {
 }
 
 TEST(NodeCache, TinyLfuScanCannotEvictReheatedWorkingSet) {
-  // Property: once a working set is hot (re-used often enough to register in
-  // the frequency sketch), an arbitrarily long one-shot scan must not push
-  // it out — every scan candidate's estimated frequency is below any hot
-  // victim's, so admission denies the trade.  All traffic is pinned to
+  // Property: once a working set is hot (looked up often enough to register
+  // in the frequency sketch), an arbitrarily long one-shot scan must not
+  // push it out — every scan candidate's estimated frequency is below any
+  // hot victim's, so admission denies the trade.  All traffic is pinned to
   // shard 0, whose budget holds exactly the working set.
   constexpr std::size_t kWorking = 4;
   constexpr std::size_t kScan = 400;
@@ -224,37 +236,61 @@ TEST(NodeCache, TinyLfuScanCannotEvictReheatedWorkingSet) {
   // Heat: enough re-reads to lift the sketch estimate well above a
   // one-shot's, but far below the sketch's aging period.
   for (int round = 0; round < 12; ++round)
-    for (std::size_t i = 0; i < kWorking; ++i)
-      cache.hash_of(std::span(encs[i]));
+    for (std::size_t i = 0; i < kWorking; ++i) load(cache, encs[i]);
 
   const auto heated = cache.stats();
   EXPECT_EQ(heated.misses, kWorking);
   EXPECT_EQ(heated.rejected, 0u);
 
   // Scan: every encoding distinct, each seen exactly once.
-  for (std::size_t i = kWorking; i < kWorking + kScan; ++i) {
-    ASSERT_EQ(cache.hash_of(std::span(encs[i])),
-              Hash256{crypto::keccak256(std::span(encs[i]))});
-  }
+  for (std::size_t i = kWorking; i < kWorking + kScan; ++i)
+    ASSERT_FALSE(load(cache, encs[i]));
 
-  // Every scan miss was denied admission: no hot entry was traded away.
+  // Every scan insert was denied admission: no hot entry was traded away.
   const auto scanned = cache.stats();
   EXPECT_EQ(scanned.rejected - heated.rejected, kScan);
   EXPECT_EQ(scanned.evictions, heated.evictions);
 
   // The working set still answers from cache — zero new misses.
-  for (std::size_t i = 0; i < kWorking; ++i)
-    cache.hash_of(std::span(encs[i]));
+  for (std::size_t i = 0; i < kWorking; ++i) EXPECT_TRUE(load(cache, encs[i]));
   const auto after = cache.stats();
   EXPECT_EQ(after.misses, scanned.misses);
   EXPECT_EQ(after.hits, scanned.hits + kWorking);
 
   // Reheat-and-scan again: resistance is not a first-scan fluke.
   for (std::size_t i = kWorking; i < kWorking + kScan; ++i)
-    cache.hash_of(std::span(encs[i]));
-  for (std::size_t i = 0; i < kWorking; ++i)
-    cache.hash_of(std::span(encs[i]));
+    load(cache, encs[i]);
+  for (std::size_t i = 0; i < kWorking; ++i) load(cache, encs[i]);
   EXPECT_EQ(cache.stats().misses, after.misses + kScan);  // scans still miss
+}
+
+TEST(NodeCache, FreshTrieRootHashNeverTouchesTheCache) {
+  // Node hashing goes straight through keccak: computing roots of tries
+  // built in memory must not look up, insert or count anything in the
+  // process-wide cache.
+  const auto before = trie::NodeCache::global().stats();
+  trie::MerklePatriciaTrie t;
+  trie::SecureTrie secure;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    const auto key = crypto::keccak256(std::to_string(i));
+    const std::vector<std::uint8_t> value(1 + i % 40,
+                                          static_cast<std::uint8_t>(i));
+    t.put(std::span(key), std::span(value));
+    secure.put(std::span(key), std::span(value));
+  }
+  (void)t.root_hash();
+  (void)secure.root_hash();
+  WorldState ws;
+  for (std::uint64_t i = 1; i <= 50; ++i)
+    ws.set(StateKey::balance(Address::from_id(i)), U256{i});
+  (void)ws.state_root();
+  (void)ws.state_root_full_rebuild();
+
+  const auto after = trie::NodeCache::global().stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.bypassed, before.bypassed);
 }
 
 // ---------------------------------------------------------------------------

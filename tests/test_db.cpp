@@ -13,7 +13,9 @@
 //   * chain-level parity: a chain running on the paged store (with a
 //     restart mid-run) commits the same roots and the same abort decisions
 //     as a store-less chain;
-//   * NodeCache counters stay monotone and consistent under concurrency.
+//   * NodeCache counters stay monotone and consistent under concurrency,
+//     and a stored encoding that no longer hashes to its ref aborts the
+//     read-through load.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -29,6 +31,7 @@
 #include "db/node_store.hpp"
 #include "db/page_file.hpp"
 #include "db/paged_node_store.hpp"
+#include "rlp/rlp.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "trie/mpt.hpp"
@@ -262,7 +265,7 @@ TEST(PagedNodeStore, RejectsGarbageManifest) {
   TempDir dir;
   {
     std::unique_ptr<db::PagedNodeStore> store;
-    ASSERT_TRUE(db::PagedNodeStore::open(dir.path, {}, store).ok());
+    ASSERT_TRUE(db::PagedNodeStore::open(dir.path, db::PagedNodeStore::Options{}, store).ok());
     const Bytes tiny{1, 2, 3};
     ASSERT_TRUE(store->put(hash_from(1), std::span(tiny)).ok());
     ASSERT_TRUE(store->commit_root(hash_from(1), 1).ok());
@@ -271,7 +274,7 @@ TEST(PagedNodeStore, RejectsGarbageManifest) {
   const std::string manifest = dir.path + "/MANIFEST.bpdb";
   for (off_t off : {0, 128}) flip_byte(manifest, off);
   std::unique_ptr<db::PagedNodeStore> store;
-  const Status st = db::PagedNodeStore::open(dir.path, {}, store);
+  const Status st = db::PagedNodeStore::open(dir.path, db::PagedNodeStore::Options{}, store);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code, ErrorCode::kBadManifest);
 }
@@ -586,7 +589,7 @@ TEST(DbChainParity, PagedStoreWithRestartMatchesStorelessChain) {
 TEST(NodeCacheCounters, MonotoneAndConsistentUnderConcurrentReaders) {
   trie::NodeCache cache(8 * 1024);  // small: forces churn + jumbo bypass
   constexpr int kThreads = 4;
-  constexpr int kCallsPerThread = 4000;
+  constexpr int kLoadsPerThread = 4000;
 
   // A shared pool of encodings: mostly small (cachable, re-used so hits
   // occur; far more than the budget holds, so shards churn), a few jumbo
@@ -598,26 +601,29 @@ TEST(NodeCacheCounters, MonotoneAndConsistentUnderConcurrentReaders) {
       encodings.push_back(random_bytes(rng, rng.range(8, 64)));
     for (int i = 0; i < 4; ++i) encodings.push_back(random_bytes(rng, 4096));
   }
+  std::vector<Hash256> hashes;
+  for (const Bytes& enc : encodings)
+    hashes.push_back(Hash256{crypto::keccak256(std::span(enc))});
 
-  // `calls` counts hash_of calls and is incremented BEFORE each call, so a
-  // concurrent stats() sample always sees hits + misses <= calls.
-  std::atomic<std::uint64_t> calls{0};
+  // Each worker performs read-through loads the way the trie does: find by
+  // hash, insert on a miss.  `finds` is incremented BEFORE each find, so a
+  // concurrent stats() sample always sees hits + misses <= finds.
+  std::atomic<std::uint64_t> finds{0};
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       Xoshiro256 rng(500 + static_cast<std::uint64_t>(t));
-      for (int i = 0; i < kCallsPerThread; ++i) {
-        const Bytes& enc = encodings[rng.below(encodings.size())];
-        calls.fetch_add(1, std::memory_order_relaxed);
-        const Hash256 h = cache.hash_of(std::span(enc));
-        if (i % 7 == 0) {
-          // Reverse lookups must agree with the forward mapping.
-          const auto back = cache.encoding_of(h);
-          if (back.has_value()) {
-            calls.fetch_add(1, std::memory_order_relaxed);
-            EXPECT_EQ(cache.hash_of(std::span(*back)), h);
-          }
+      for (int i = 0; i < kLoadsPerThread; ++i) {
+        const std::size_t k = rng.below(encodings.size());
+        finds.fetch_add(1, std::memory_order_relaxed);
+        const auto got = cache.find(hashes[k]);
+        if (got.has_value()) {
+          // Whatever a concurrent insert put there is the encoding that
+          // hashes to the key.
+          EXPECT_EQ(*got, encodings[k]);
+        } else {
+          cache.insert(hashes[k], std::span(encodings[k]));
         }
       }
     });
@@ -625,10 +631,10 @@ TEST(NodeCacheCounters, MonotoneAndConsistentUnderConcurrentReaders) {
 
   // Sample stats concurrently: every counter must be monotone, the byte
   // accounting must stay within the configured budget, and counter sums
-  // must never outrun issued calls.
+  // must never outrun issued finds.
   trie::NodeCache::Stats last;
-  while (calls.load(std::memory_order_relaxed) <
-         static_cast<std::uint64_t>(kThreads) * kCallsPerThread) {
+  while (finds.load(std::memory_order_relaxed) <
+         static_cast<std::uint64_t>(kThreads) * kLoadsPerThread) {
     const auto s = cache.stats();
     EXPECT_GE(s.hits, last.hits);
     EXPECT_GE(s.misses, last.misses);
@@ -636,22 +642,76 @@ TEST(NodeCacheCounters, MonotoneAndConsistentUnderConcurrentReaders) {
     EXPECT_GE(s.rejected, last.rejected);
     EXPECT_GE(s.bypassed, last.bypassed);
     EXPECT_LE(s.bytes, s.capacity);
-    EXPECT_LE(s.hits + s.misses, calls.load(std::memory_order_relaxed));
+    EXPECT_LE(s.hits + s.misses, finds.load(std::memory_order_relaxed));
     last = s;
     std::this_thread::yield();
   }
   for (auto& w : workers) w.join();
 
-  // At rest: every hash_of call was exactly one hit or one miss (cap > 0),
-  // and every jumbo call also counted a bypass.
+  // At rest: every find was exactly one hit or one miss (cap > 0), and
+  // every jumbo miss was followed by a bypassed insert.
   const auto s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses, calls.load());
+  EXPECT_EQ(s.hits + s.misses, finds.load());
   EXPECT_GT(s.bypassed, 0u);        // the jumbo encodings bypassed
-  EXPECT_LE(s.bypassed, s.misses);  // a jumbo bypass is also a miss
+  EXPECT_LE(s.bypassed, s.misses);  // a jumbo bypass follows a miss
   EXPECT_GT(s.hits, 0u);
   // The working set is ~4x the budget, so full shards had to either evict
-  // (admission won) or reject (TinyLFU kept the victim) on misses.
+  // (admission won) or reject (TinyLFU kept the victim) on inserts.
   EXPECT_GT(s.evictions + s.rejected, 0u);
+}
+
+TEST(NodeCacheReadThrough, CorruptStoredEncodingTripsLoadHashCheck) {
+  // A node whose bytes on disk no longer hash to the reference its parent
+  // holds must abort the stub load, not be decoded and served.
+  MerklePatriciaTrie t;
+  std::vector<Bytes> keys;
+  Xoshiro256 rng(77);
+  for (int i = 0; i < 64; ++i) {
+    keys.push_back(random_bytes(rng, 32));
+    const Bytes value = random_bytes(rng, 40);
+    t.put(std::span(keys.back()), std::span(value));
+  }
+  const Hash256 root = t.root_hash();
+
+  // Find a hash-referenced child of the root and corrupt its encoding.
+  db::InMemoryNodeStore clean;
+  t.persist_nodes(clean);
+  Bytes root_enc;
+  ASSERT_TRUE(clean.get(root, root_enc).ok());
+  const rlp::Item root_item = rlp::decode(std::span(root_enc));
+  Hash256 child;
+  bool found = false;
+  for (const rlp::Item& item : root_item.list) {
+    if (!item.is_list && item.str.size() == 32) {
+      std::memcpy(child.bytes.data(), item.str.data(), 32);
+      found = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(found);
+  Bytes corrupted;
+  ASSERT_TRUE(clean.get(child, corrupted).ok());
+  corrupted.back() ^= 0x01;
+
+  // Write the corrupted child first: the persist walk then prunes at it,
+  // so the paged file holds the damaged bytes under the child's hash.
+  TempDir dir;
+  std::unique_ptr<db::PagedNodeStore> store;
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, db::PagedNodeStore::Options{}, store).ok());
+  ASSERT_TRUE(store->put(child, std::span(corrupted)).ok());
+  t.persist_nodes(*store);
+  ASSERT_TRUE(store->commit_root(root, 1).ok());
+  store.reset();
+  ASSERT_TRUE(db::PagedNodeStore::open(dir.path, db::PagedNodeStore::Options{}, store).ok());
+
+  trie::NodeCache::global().clear();  // the damaged node must come off disk
+  const MerklePatriciaTrie reopened = MerklePatriciaTrie::from_root(root, *store);
+  EXPECT_EQ(reopened.root_hash(), root);  // hashing a stub never loads it
+  EXPECT_DEATH(
+      {
+        for (const Bytes& key : keys) (void)reopened.get(std::span(key));
+      },
+      "does not hash to its ref");
 }
 
 }  // namespace

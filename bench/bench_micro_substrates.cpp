@@ -147,6 +147,31 @@ void BM_DependencyGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_DependencyGraphBuild);
 
+// The per-block state step of both nodes: copy the committed parent (here a
+// mainnet genesis, ~2k accounts and 12 tokens x 2k slots) and apply one
+// block's writes to the copy.  The copy is dropped inside the timing, as a
+// discarded post state would be.
+void BM_WorldStateCopy(benchmark::State& state) {
+  workload::WorkloadGenerator gen(workload::preset_mainnet());
+  state::WorldState genesis = gen.genesis();
+  (void)genesis.state_root();  // a committed parent, memos in place
+  evm::BlockContext ctx;
+  ctx.coinbase = Address::from_id(0xFEE);
+  const auto txs = gen.next_batch(132);
+  const auto serial = core::execute_serial(genesis, ctx, std::span(txs));
+  std::vector<std::pair<state::StateKey, U256>> writes;
+  for (const chain::TxProfile& tx : serial.exec.profile.txs)
+    writes.insert(writes.end(), tx.writes.begin(), tx.writes.end());
+  for (auto _ : state) {
+    state::WorldState post = genesis;
+    for (const auto& [key, value] : writes) post.set(key, value);
+    benchmark::DoNotOptimize(&post);
+    benchmark::ClobberMemory();
+  }
+  state.counters["writes"] = static_cast<double>(writes.size());
+}
+BENCHMARK(BM_WorldStateCopy);
+
 }  // namespace
 }  // namespace blockpilot
 

@@ -14,6 +14,8 @@
 # The stm-labeled suites (Block-STM scheduler, multi-version memory, the
 # cross-engine differential, and the host-threads hammer) run in the
 # default build and again under ThreadSanitizer (the tsan-stm preset).
+# A Keccak gate fails when bench_micro_substrates' BM_Keccak32 exceeds twice
+# the last BENCH_keccak.json trajectory entry.
 # The db-labeled crash/recovery suites additionally run under combined
 # ASan+UBSan (the asan-db preset), and every db gate is followed by a
 # tmpdir hygiene check: tests and benches must remove their page files.
@@ -93,6 +95,24 @@ echo "==> perf-smoke: bench_evm --smoke (interpreter + analysis-cache gates)"
 # below 99% under the mainnet profile, or a per-profile state-root mismatch
 # between the two interpreters.
 timeout 180 ./build/bench/bench_evm --smoke
+
+echo "==> perf-smoke: bench_micro_substrates Keccak gate"
+# Fails when the median of three BM_Keccak32 repetitions exceeds twice the
+# last BENCH_keccak.json trajectory entry.  2x sits above the ~1.45x slow
+# phase measured on a shared 4-vCPU VM and below the 4.4x of the old
+# loop-form permutation, so it catches that regression but not the noise.
+./build/bench/bench_micro_substrates --benchmark_filter='^BM_Keccak32$' \
+    --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
+    --benchmark_format=json | python3 -c '
+import json, sys
+run = json.load(sys.stdin)
+with open("BENCH_keccak.json") as f:
+    last = json.load(f)["trajectory"][-1]["BM_Keccak32"]
+ns = next(b["cpu_time"] for b in run["benchmarks"]
+          if b.get("aggregate_name") == "median")
+print("BM_Keccak32 median %.0f ns, limit %.0f ns (2 x %d)" % (ns, 2 * last, last))
+sys.exit(0 if ns <= 2 * last else 1)
+'
 
 echo "==> e2ebench: run.py --selftest (two-node lifecycle benchmark's own tests)"
 # Builds the standalone e2ebench project (Release, under .bench_build/) and

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "chain/bloom.hpp"
@@ -22,12 +23,22 @@ struct Receipt {
 
   /// rlp([status, cumulativeGas, bloom, [[addr, [topics], data] ...]]).
   std::vector<std::uint8_t> rlp_encode() const;
+  /// The same encoding with this receipt's bloom already built.
+  std::vector<std::uint8_t> rlp_encode(const Bloom& bloom) const;
 };
+
+/// Every receipt's bloom, built once (a keccak per log address and topic)
+/// so the receipts root and the block bloom of one block can share them.
+std::vector<Bloom> receipt_blooms(const std::vector<Receipt>& receipts);
 
 /// Receipts-trie root: rlp(index) -> rlp(receipt), like the tx trie.
 Hash256 receipts_root(const std::vector<Receipt>& receipts);
+/// The same root from prebuilt blooms (blooms[i] is receipts[i]'s).
+Hash256 receipts_root(const std::vector<Receipt>& receipts,
+                      std::span<const Bloom> blooms);
 
 /// Union of all receipt blooms — the header's logsBloom field.
 Bloom block_bloom(const std::vector<Receipt>& receipts);
+Bloom block_bloom(std::span<const Bloom> blooms);
 
 }  // namespace blockpilot::chain

@@ -291,7 +291,6 @@ class BlockStmEngineBase : public ExecutionEngine {
     result.block.header.gas_limit = config_.block_gas_limit;
     result.block.header.gas_used = p.gas_used;
     result.block.header.tx_root = chain::transactions_root(p.included);
-    result.block.header.logs_bloom = chain::block_bloom(p.receipts);
     result.block.transactions = std::move(p.included);
     result.profile = std::move(p.profile);
     result.receipts = std::move(p.receipts);

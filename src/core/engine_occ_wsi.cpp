@@ -242,7 +242,6 @@ ProposedBlock OccWsiHostEngine::propose(const state::WorldState& pre,
   result.block.header.gas_limit = config_.block_gas_limit;
   result.block.header.gas_used = shared.gas_used;
   result.block.header.tx_root = chain::transactions_root(shared.included);
-  result.block.header.logs_bloom = chain::block_bloom(shared.receipts);
   result.block.transactions = std::move(shared.included);
   result.profile = std::move(shared.profile);
   result.receipts = std::move(shared.receipts);
@@ -435,7 +434,6 @@ ProposedBlock OccWsiVirtualEngine::propose(const state::WorldState& pre,
   result.block.header.gas_limit = config_.block_gas_limit;
   result.block.header.gas_used = gas_used;
   result.block.header.tx_root = chain::transactions_root(included);
-  result.block.header.logs_bloom = chain::block_bloom(receipts);
   result.block.transactions = std::move(included);
   result.profile = std::move(block_profile);
   result.receipts = std::move(receipts);

@@ -87,16 +87,23 @@ ProposedBlock BlockProposer::propose_host_threads(
 }
 
 void ExecutionEngine::seal_commitment(ProposedBlock& result) {
+  // Each receipt's bloom is built once: the logs bloom is needed now, and
+  // the receipts root re-encodes the same blooms.
+  std::vector<chain::Bloom> blooms = chain::receipt_blooms(result.receipts);
+  result.block.header.logs_bloom = chain::block_bloom(blooms);
   if (config_.commit_pipeline == nullptr) {
     result.block.header.state_root = result.post_state->state_root();
-    result.block.header.receipts_root = chain::receipts_root(result.receipts);
+    result.block.header.receipts_root =
+        chain::receipts_root(result.receipts, blooms);
     return;
   }
   // Receipts root rides along as the aux root so the whole commitment —
   // not just the state root — leaves the proposer's critical path.
   result.commit = config_.commit_pipeline->submit(
       result.post_state,
-      [receipts = result.receipts] { return chain::receipts_root(receipts); });
+      [receipts = result.receipts, blooms = std::move(blooms)] {
+        return chain::receipts_root(receipts, blooms);
+      });
 }
 
 void ProposedBlock::await_seal() {

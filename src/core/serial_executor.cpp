@@ -19,8 +19,9 @@ chain::Block seal_block(const evm::BlockContext& ctx,
   block.header.gas_used = exec.gas_used;
   block.header.state_root = exec.state_root;
   block.header.tx_root = chain::transactions_root(txs);
-  block.header.receipts_root = chain::receipts_root(exec.receipts);
-  block.header.logs_bloom = chain::block_bloom(exec.receipts);
+  const std::vector<chain::Bloom> blooms = chain::receipt_blooms(exec.receipts);
+  block.header.receipts_root = chain::receipts_root(exec.receipts, blooms);
+  block.header.logs_bloom = chain::block_bloom(blooms);
   block.transactions = std::move(txs);
   return block;
 }

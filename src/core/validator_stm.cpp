@@ -110,6 +110,13 @@ ValidationOutcome validate_block_stm(const ValidatorConfig& config,
     outcome.reject_reason = "profile size mismatch";
     return outcome;
   }
+  // A relayed announcement could pair a header with a transaction list it
+  // does not commit to; reject that before executing anything.
+  if (chain::transactions_root(block.transactions) != block.header.tx_root) {
+    outcome.reject_reason = "transactions root mismatch";
+    outcome.stats.wall_ms = wall.elapsed_ms();
+    return outcome;
+  }
 
   // ---- Preparation phase ----
   // The dependency-graph stats stay profile-derived so the adaptive signal
@@ -418,14 +425,15 @@ ValidationOutcome validate_block_stm(const ValidatorConfig& config,
     outcome.stats.wall_ms = wall.elapsed_ms();
     return outcome;
   }
-  if (chain::receipts_root(outcome.exec.receipts) !=
+  const std::vector<chain::Bloom> blooms =
+      chain::receipt_blooms(outcome.exec.receipts);
+  if (chain::receipts_root(outcome.exec.receipts, blooms) !=
       block.header.receipts_root) {
     outcome.reject_reason = "receipts root mismatch";
     outcome.stats.wall_ms = wall.elapsed_ms();
     return outcome;
   }
-  if (!(chain::block_bloom(outcome.exec.receipts) ==
-        block.header.logs_bloom)) {
+  if (!(chain::block_bloom(blooms) == block.header.logs_bloom)) {
     outcome.reject_reason = "logs bloom mismatch";
     outcome.stats.wall_ms = wall.elapsed_ms();
     return outcome;

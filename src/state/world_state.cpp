@@ -55,13 +55,14 @@ std::string StateKey::to_string() const {
   return "?";
 }
 
-// Copying shares the persistent tries (O(1) per trie) and carries the memos
-// over, so a copied state answers state_root() without re-hashing anything
-// the source had already committed.  accounts_ is copied outside the commit
-// mutex — it is never mutated concurrently (writes don't race by contract)
-// — and the lock-guarded commitment structures are pure memory copies, so a
-// copy taken while a commit is in flight waits only for that commit's short
-// structural fold, never for its hashing.
+// Copying shares the persistent maps and tries (O(1) each) and carries the
+// memos over, so a copied state answers state_root() without re-hashing
+// anything the source had already committed; only a pending dirty set is
+// copied entry by entry.  accounts_ is copied outside the commit mutex — it
+// is never mutated concurrently (writes don't race by contract) — and the
+// lock-guarded commitment structures are pointer copies, so a copy taken
+// while a commit is in flight waits only for that commit's short structural
+// fold, never for its hashing.
 WorldState::WorldState(const WorldState& other) {
   accounts_ = other.accounts_;
   std::scoped_lock lk(other.commit_mu_);
@@ -113,17 +114,16 @@ WorldState& WorldState::operator=(WorldState&& other) noexcept {
 }
 
 U256 WorldState::get(const StateKey& key) const {
-  const auto it = accounts_.find(key.addr);
-  if (it == accounts_.end()) return U256{};
-  const AccountData& acct = it->second;
+  const AccountData* acct = accounts_.find(key.addr);
+  if (acct == nullptr) return U256{};
   switch (key.field) {
     case Field::kBalance:
-      return acct.balance;
+      return acct->balance;
     case Field::kNonce:
-      return U256{acct.nonce};
+      return U256{acct->nonce};
     case Field::kStorage: {
-      const auto sit = acct.storage.find(key.slot);
-      return sit == acct.storage.end() ? U256{} : sit->second;
+      const U256* value = acct->storage.find(key.slot);
+      return value == nullptr ? U256{} : *value;
     }
   }
   return U256{};
@@ -165,9 +165,8 @@ void WorldState::set(const StateKey& key, const U256& value) {
 }
 
 std::shared_ptr<const Bytes> WorldState::code(const Address& addr) const {
-  const auto it = accounts_.find(addr);
-  if (it == accounts_.end()) return nullptr;
-  return it->second.code;
+  const AccountData* acct = accounts_.find(addr);
+  return acct == nullptr ? nullptr : acct->code;
 }
 
 void WorldState::set_code(const Address& addr, Bytes code) {
@@ -179,30 +178,30 @@ void WorldState::set_code(const Address& addr, Bytes code) {
 }
 
 Hash256 WorldState::code_hash(const Address& addr) const {
-  const auto it = accounts_.find(addr);
-  if (it == accounts_.end()) return Hash256{};
-  return it->second.code_hash;
+  const AccountData* acct = accounts_.find(addr);
+  return acct == nullptr ? Hash256{} : acct->code_hash;
 }
 
-Hash256 storage_root_of(const std::unordered_map<U256, U256>& storage) {
-  trie::SecureTrie st;
-  for (const auto& [slot, value] : storage) {
-    if (value.is_zero()) continue;
+namespace {
+
+// Inserts every slot of `storage` (never zero-valued) into `trie`.
+void put_slots(trie::SecureTrie& trie, const StorageMap& storage) {
+  storage.for_each([&trie](const U256& slot, const U256& value) {
     const auto key = slot.to_be_bytes();
     const auto encoded = rlp::encode(value);
-    st.put(std::span(key), std::span(encoded));
-  }
+    trie.put(std::span(key), std::span(encoded));
+  });
+}
+
+Hash256 storage_root_of(const StorageMap& storage) {
+  trie::SecureTrie st;
+  put_slots(st, storage);
   return st.root_hash();
 }
 
-Bytes encode_account(const AccountData& acct, const Hash256& storage_root) {
-  // codeHash = keccak(code), keccak("") for code-less accounts.
-  Hash256 code_hash;
-  if (acct.code != nullptr) {
-    code_hash = Hash256{crypto::keccak256(std::span(*acct.code))};
-  } else {
-    code_hash = Hash256{crypto::keccak256(std::span<const std::uint8_t>{})};
-  }
+// RLP account encoding [nonce, balance, storageRoot, codeHash].
+Bytes encode_account(const AccountData& acct, const Hash256& storage_root,
+                     const Hash256& code_hash) {
   rlp::Encoder enc;
   enc.begin_list()
       .add(U256{acct.nonce})
@@ -212,6 +211,17 @@ Bytes encode_account(const AccountData& acct, const Hash256& storage_root) {
       .end_list();
   return enc.take();
 }
+
+// The codeHash field from the set_code memo: AccountData::code_hash is zero
+// for code-less accounts, whose field is keccak("").
+Hash256 memoized_code_hash(const AccountData& acct) {
+  static const Hash256 kEmptyCodeHash{
+      crypto::keccak256(std::span<const std::uint8_t>{})};
+  const bool has_code = acct.code != nullptr && !acct.code->empty();
+  return has_code ? acct.code_hash : kEmptyCodeHash;
+}
+
+}  // namespace
 
 // state_root() protocol — every keccak runs outside commit_mu_:
 //
@@ -275,26 +285,28 @@ std::vector<WorldState::StorageFold> WorldState::collect_folds_locked() const {
   for (const auto& [addr, slots] : dirty_) {
     StorageFold f;
     f.addr = addr;
-    const auto ait = accounts_.find(addr);
-    if (ait == accounts_.end() || ait->second.empty_account()) {
+    const AccountData* acct = accounts_.find(addr);
+    if (acct == nullptr || acct->empty_account()) {
       // Pruned like post-EIP-161: drop from the commitment (and the memo,
       // so a later resurrection rebuilds — or re-adopts its seed).
       f.kind = StorageFold::Kind::kPrune;
       folds.push_back(std::move(f));
       continue;
     }
-    f.acct = &ait->second;
-    AccountCommit& cc = commit_[addr];
-    if (cc.fresh) {
+    f.acct = acct;
+    // Read before writing: commit_[addr] would clone a bucket shared with
+    // copies, and only kBuild needs the memo entry to exist.
+    const AccountCommit* cc = commit_.find(addr);
+    if (cc == nullptr || cc->fresh) {
       f.kind = StorageFold::Kind::kBuild;
-      f.seed = ait->second.storage_seed;
+      f.seed = acct->storage_seed;
     } else if (!slots.empty()) {
       f.kind = StorageFold::Kind::kApplySlots;
-      f.trie = cc.storage_trie;  // persistent: puts off-lock path-copy
+      f.trie = cc->storage_trie;  // persistent: puts off-lock path-copy
       f.slots.assign(slots.begin(), slots.end());
     } else {
       f.kind = StorageFold::Kind::kBodyOnly;
-      f.storage_root = cc.storage_root;
+      f.storage_root = cc->storage_root;
     }
     // Block-level sharing: folds that would hash (build or apply) rendezvous
     // with sibling replicas of the same block through a per-account cell.
@@ -329,12 +341,7 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
           f.adopted = true;
           f.block_adopted = true;
         } else {
-          for (const auto& [slot, value] : f.acct->storage) {
-            if (value.is_zero()) continue;
-            const auto key = slot.to_be_bytes();
-            const auto encoded = rlp::encode(value);
-            f.trie.put(std::span(key), std::span(encoded));
-          }
+          put_slots(f.trie, f.acct->storage);
           f.storage_root = f.trie.root_hash();
         }
         // Cross-publish so whichever cell is still empty serves the next
@@ -357,11 +364,11 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
         // hashes inside the persistent trie.
         for (const U256& slot : f.slots) {
           const auto key = slot.to_be_bytes();
-          const auto sit = f.acct->storage.find(slot);
-          if (sit == f.acct->storage.end() || sit->second.is_zero()) {
+          const U256* value = f.acct->storage.find(slot);
+          if (value == nullptr) {
             f.trie.erase(std::span(key));
           } else {
-            const auto encoded = rlp::encode(sit->second);
+            const auto encoded = rlp::encode(*value);
             f.trie.put(std::span(key), std::span(encoded));
           }
         }
@@ -372,7 +379,8 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
       case StorageFold::Kind::kBodyOnly:
         break;
     }
-    f.encoded = encode_account(*f.acct, f.storage_root);
+    f.encoded =
+        encode_account(*f.acct, f.storage_root, memoized_code_hash(*f.acct));
   }
 }
 
@@ -384,12 +392,16 @@ trie::SecureTrie WorldState::install_folds_locked(
       commit_.erase(f.addr);
       continue;
     }
-    AccountCommit& cc = commit_[f.addr];
+    // Body-only folds leave the memo as it is, so they never clone a
+    // commit_ bucket shared with copies.
+    if (f.kind != StorageFold::Kind::kBodyOnly) {
+      AccountCommit& cc = commit_[f.addr];
+      cc.storage_trie = std::move(f.trie);
+      cc.storage_root = f.storage_root;
+      cc.fresh = false;
+    }
     switch (f.kind) {
       case StorageFold::Kind::kBuild:
-        cc.storage_trie = std::move(f.trie);
-        cc.storage_root = f.storage_root;
-        cc.fresh = false;
         if (f.adopted)
           ++stats_.seeds_adopted;
         else
@@ -397,8 +409,6 @@ trie::SecureTrie WorldState::install_folds_locked(
         if (f.published) ++stats_.seeds_built;
         break;
       case StorageFold::Kind::kApplySlots:
-        cc.storage_trie = std::move(f.trie);
-        cc.storage_root = f.storage_root;
         if (f.block_adopted)
           ++stats_.seeds_adopted;
         else
@@ -424,22 +434,21 @@ trie::SecureTrie WorldState::install_folds_locked(
 }
 
 Hash256 WorldState::storage_root(const Address& addr) const {
-  const auto it = accounts_.find(addr);
-  if (it == accounts_.end()) return trie::MerklePatriciaTrie::empty_root();
+  const AccountData* acct = accounts_.find(addr);
+  if (acct == nullptr) return trie::MerklePatriciaTrie::empty_root();
   {
     std::scoped_lock lk(commit_mu_);
-    const auto cit = commit_.find(addr);
+    const AccountCommit* cc = commit_.find(addr);
     const auto dit = dirty_.find(addr);
     const bool storage_clean = dit == dirty_.end() || dit->second.empty();
-    if (cit != commit_.end() && !cit->second.fresh && storage_clean)
-      return cit->second.storage_root;
+    if (cc != nullptr && !cc->fresh && storage_clean) return cc->storage_root;
   }
   // A ready seed cell is always in sync with the current slot map (writes
   // swap the cell), so it answers even before this state's first commit.
-  if (const auto& seed = it->second.storage_seed;
+  if (const auto& seed = acct->storage_seed;
       seed != nullptr && seed->ready.load(std::memory_order_acquire))
     return seed->storage_root;
-  return storage_root_of(it->second.storage);
+  return storage_root_of(acct->storage);
 }
 
 Hash256 WorldState::state_root() const {
@@ -479,13 +488,20 @@ Hash256 WorldState::state_root() const {
   return root;
 }
 
+// Re-hashes every storage map and every contract's code, so it also checks
+// the code_hash memo the incremental path encodes.
 Hash256 WorldState::state_root_full_rebuild() const {
   trie::SecureTrie accounts_trie;
-  for (const auto& [addr, acct] : accounts_) {
-    if (acct.empty_account()) continue;
-    const Bytes encoded = encode_account(acct, storage_root_of(acct.storage));
+  accounts_.for_each([&accounts_trie](const Address& addr,
+                                      const AccountData& acct) {
+    if (acct.empty_account()) return;
+    const std::span<const std::uint8_t> code =
+        acct.code != nullptr ? std::span(*acct.code)
+                             : std::span<const std::uint8_t>{};
+    const Bytes encoded = encode_account(acct, storage_root_of(acct.storage),
+                                         Hash256{crypto::keccak256(code)});
     accounts_trie.put(std::span(addr.bytes), std::span(encoded));
-  }
+  });
   return accounts_trie.root_hash();
 }
 
@@ -516,9 +532,11 @@ std::size_t WorldState::persist_commitment(db::NodeStore& store) const {
     std::scoped_lock lk(commit_mu_);
     account_snapshot = account_trie_;
     storage_snapshots.reserve(commit_.size());
-    for (const auto& [addr, memo] : commit_)
+    commit_.for_each([&storage_snapshots](const Address&,
+                                          const AccountCommit& memo) {
       if (!memo.fresh && !memo.storage_trie.empty())
         storage_snapshots.push_back(memo.storage_trie);
+    });
   }
   // Storage tries first: account leaves embed storageRoot references, so
   // the post-order invariant extends across tries — by the time an account

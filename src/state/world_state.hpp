@@ -15,7 +15,12 @@
 // rebuilding the whole trie.  state_root_full_rebuild() preserves the
 // original from-scratch computation as a differential oracle.
 //
-// Two sharing mechanisms keep copies cheap:
+// Three sharing mechanisms keep copies cheap:
+//  * the account map, every account's slot map and the per-account commit
+//    memos are PersistentMaps, so a copy shares all of them and a write
+//    clones only the table and the bucket it touches: copying a state is
+//    O(fanout), and a block that writes k accounts makes its post state
+//    own O(k) buckets while sharing the rest with its parent;
 //  * commit_mu_ is a short-hold structural lock: state_root() folds dirty
 //    entries under it but performs every hash on persistent-trie snapshots
 //    *outside* it, so a finalize-time copy taken while a commit is in
@@ -40,6 +45,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "state/persistent_map.hpp"
 #include "state/state_key.hpp"
 #include "trie/mpt.hpp"
 #include "types/address.hpp"
@@ -48,6 +54,16 @@
 namespace blockpilot::state {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// PersistentMap fanouts: ~2k accounts per genesis put one or two accounts
+/// in a bucket; a 2k-slot token keeps ~16 slots per storage bucket while an
+/// account with a handful of slots pays a 2 KiB table.
+inline constexpr std::size_t kAccountFanout = 1024;
+inline constexpr std::size_t kStorageFanout = 128;
+
+/// One account's slot map.  Never holds a zero value: writing zero erases
+/// the slot, so an account's storage is all-zero exactly when it is empty.
+using StorageMap = PersistentMap<U256, U256, kStorageFanout>;
 
 /// One-shot shared cell publishing a fresh account's storage commitment.
 /// The cell's identity encodes a slot-map content-version: the write path
@@ -117,22 +133,17 @@ struct AccountData {
   std::uint64_t nonce = 0;
   std::shared_ptr<const Bytes> code;  // nullptr for externally-owned accounts
   /// keccak(code), zero for code-less/empty accounts; computed once by
-  /// set_code so executors can key the CodeAnalysis cache without hashing.
+  /// set_code so executors can key the CodeAnalysis cache and state_root()
+  /// can encode the account without hashing the code.
   Hash256 code_hash;
-  std::unordered_map<U256, U256> storage;
+  StorageMap storage;
   /// Shared storage-trie seed (see StorageSeed); copies of this state share
   /// the cell until one of them writes storage again.
   std::shared_ptr<StorageSeed> storage_seed;
 
   bool empty_account() const noexcept {
     return balance.is_zero() && nonce == 0 &&
-           (code == nullptr || code->empty()) && storage_all_zero();
-  }
-
-  bool storage_all_zero() const noexcept {
-    for (const auto& [slot, val] : storage)
-      if (!val.is_zero()) return false;
-    return true;
+           (code == nullptr || code->empty()) && storage.empty();
   }
 };
 
@@ -210,10 +221,6 @@ class WorldState {
   /// commit wrong roots).
   void adopt_block_seeds(std::shared_ptr<BlockSeedSet> seeds);
 
-  const std::unordered_map<Address, AccountData>& accounts() const noexcept {
-    return accounts_;
-  }
-
   /// Persists the current commitment into `store`: computes state_root()
   /// (folding any dirty writes), then writes every new node of the account
   /// trie and of each memoized storage trie.  Trie snapshots are taken
@@ -252,7 +259,7 @@ class WorldState {
   void hash_folds_unlocked(std::vector<StorageFold>& folds) const;
   trie::SecureTrie install_folds_locked(std::vector<StorageFold>& folds) const;
 
-  std::unordered_map<Address, AccountData> accounts_;
+  PersistentMap<Address, AccountData, kAccountFanout> accounts_;
 
   // Incremental commitment state.  Mutable so const root queries may run
   // concurrently (e.g. on the commit pool) while still updating the memos.
@@ -263,7 +270,7 @@ class WorldState {
   mutable std::mutex root_mu_;
   mutable std::mutex commit_mu_;
   mutable trie::SecureTrie account_trie_;
-  mutable std::unordered_map<Address, AccountCommit> commit_;
+  mutable PersistentMap<Address, AccountCommit, kAccountFanout> commit_;
   mutable std::unordered_map<Address, std::unordered_set<U256>> dirty_;
   mutable Hash256 root_memo_;
   mutable bool root_valid_ = false;
@@ -272,12 +279,5 @@ class WorldState {
   /// across copies: the copy is no longer the submitted post state.
   mutable std::shared_ptr<BlockSeedSet> block_seeds_;
 };
-
-/// Computes the storage-trie root of a slot map (shared by WorldState and
-/// the versioned flattening path).
-Hash256 storage_root_of(const std::unordered_map<U256, U256>& storage);
-
-/// RLP account encoding [nonce, balance, storageRoot, codeHash].
-Bytes encode_account(const AccountData& acct, const Hash256& storage_root);
 
 }  // namespace blockpilot::state

@@ -4,6 +4,7 @@
 // validator / pipeline / blockchain.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 
 #include "commit/commit_pipeline.hpp"
@@ -358,8 +359,14 @@ TEST(IncrementalRoot, ZeroStorageWriteErases) {
 
   ws.set(StateKey::storage(addr_of(5), U256{2}), U256{});
   EXPECT_EQ(ws.state_root(), ws.state_root_full_rebuild());
-  EXPECT_EQ(ws.storage_root(addr_of(5)),
-            state::storage_root_of(ws.accounts().at(addr_of(5)).storage));
+  // The memoized storage root must equal a trie holding only the surviving
+  // slot: the erased one is gone from both the slot map and the trie.
+  EXPECT_EQ(ws.get(StateKey::storage(addr_of(5), U256{2})), U256{});
+  trie::SecureTrie surviving;
+  const auto key = U256{1}.to_be_bytes();
+  const auto value = rlp::encode(U256{77});
+  surviving.put(std::span(key), std::span(value));
+  EXPECT_EQ(ws.storage_root(addr_of(5)), surviving.root_hash());
 }
 
 TEST(IncrementalRoot, CopiesDivergeIndependently) {
@@ -382,9 +389,19 @@ TEST(IncrementalRoot, CopiesDivergeIndependently) {
 }
 
 TEST(IncrementalRoot, DifferentialFuzzAgainstOracle) {
+  // Code-bearing inputs inside the fuzzed address range: an account whose
+  // code was set empty (its codeHash is keccak("")) and a contract whose
+  // code_hash memo reaches the fuzzed state through a copy.  The oracle
+  // re-hashes the code, so it checks the memo the incremental path encodes.
+  WorldState parent;
+  parent.set_code(addr_of(3), {});
+  parent.set_code(addr_of(4), {0x60, 0x01, 0x60, 0x00, 0x55, 0x00});
+  parent.set(StateKey::storage(addr_of(4), U256{1}), U256{9});
+  const Hash256 parent_root = parent.state_root();
+  ASSERT_EQ(parent_root, parent.state_root_full_rebuild());
   for (const std::uint64_t seed : {1ULL, 42ULL, 0xdecafULL}) {
     Xoshiro256 rng(seed);
-    WorldState ws;
+    WorldState ws = parent;
     for (int step = 0; step < 400; ++step) {
       const Address addr = addr_of(rng() % 12);
       switch (rng() % 5) {
@@ -411,6 +428,7 @@ TEST(IncrementalRoot, DifferentialFuzzAgainstOracle) {
     }
     EXPECT_EQ(ws.state_root(), ws.state_root_full_rebuild()) << "seed " << seed;
   }
+  EXPECT_EQ(parent.state_root_full_rebuild(), parent_root);
 }
 
 // ---------------------------------------------------------------------------
@@ -535,6 +553,94 @@ TEST(StorageSeeds, DifferentialFuzzSharedTriesAcrossCopies) {
   // The sharing machinery actually engaged during the run.
   EXPECT_GT(built, 0u);
   EXPECT_GT(adopted, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Copy families: copies share unwritten accounts, slots and commit memos
+
+TEST(SharedState, CopyFamilyDifferentialFuzz) {
+  // A tree of copies (parent, children, grandchildren, ...) receives random
+  // writes, commits and drops; every copy is checked against its own
+  // independent model after every step.  A write to one copy must never be
+  // visible in its source, its siblings or its descendants.
+  constexpr std::uint64_t kAddrs = 10;
+  constexpr std::uint64_t kSlots = 6;
+  constexpr std::size_t kMaxCopies = 7;
+  // Model key: (address id, field) with field -2 = balance, -1 = nonce and
+  // 0..kSlots-1 = a storage slot; absent keys read as zero.
+  using Model = std::map<std::pair<std::uint64_t, int>, U256>;
+  struct Copy {
+    WorldState ws;
+    Model model;
+    std::map<std::uint64_t, Hash256> code_hashes;
+  };
+  const auto key_of = [](std::uint64_t id, int field) {
+    const Address a = addr_of(id);
+    if (field == -2) return StateKey::balance(a);
+    if (field == -1) return StateKey::nonce(a);
+    return StateKey::storage(a, U256{static_cast<std::uint64_t>(field)});
+  };
+  const auto matches_model = [&](const Copy& c) {
+    for (std::uint64_t id = 0; id < kAddrs; ++id) {
+      for (int field = -2; field < static_cast<int>(kSlots); ++field) {
+        const auto it = c.model.find({id, field});
+        const U256 want = it == c.model.end() ? U256{} : it->second;
+        if (c.ws.get(key_of(id, field)) != want) return false;
+      }
+      const auto ch = c.code_hashes.find(id);
+      const Hash256 want = ch == c.code_hashes.end() ? Hash256{} : ch->second;
+      if (c.ws.code_hash(addr_of(id)) != want) return false;
+    }
+    return true;
+  };
+
+  for (const std::uint64_t seed : {3ULL, 0xfa11ULL, 0xc0deULL}) {
+    Xoshiro256 rng(seed);
+    std::vector<std::unique_ptr<Copy>> family;
+    family.push_back(std::make_unique<Copy>());
+    for (int step = 0; step < 600; ++step) {
+      const std::size_t pick = rng() % family.size();
+      const std::uint64_t op = rng() % 16;
+      if (op < 3 && family.size() < kMaxCopies) {
+        // Fork: committed or dirty, the copy starts equal to its source.
+        auto child = std::make_unique<Copy>(*family[pick]);
+        family.push_back(std::move(child));
+      } else if (op == 3 && family.size() > 1) {
+        family.erase(family.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else if (op == 4) {
+        Copy& c = *family[pick];
+        const std::uint64_t id = rng() % kAddrs;
+        state::Bytes code(rng() % 3 == 0 ? 0 : 1 + rng() % 8,
+                          static_cast<std::uint8_t>(rng()));
+        c.code_hashes[id] =
+            code.empty() ? Hash256{} : Hash256::of(std::span(code));
+        c.ws.set_code(addr_of(id), std::move(code));
+      } else {
+        Copy& c = *family[pick];
+        const std::uint64_t id = rng() % kAddrs;
+        const int field = static_cast<int>(rng() % (kSlots + 2)) - 2;
+        const U256 value = rng() % 4 == 0 ? U256{} : U256{rng() % 1000};
+        c.ws.set(key_of(id, field), value);
+        if (value.is_zero())
+          c.model.erase({id, field});
+        else
+          c.model[{id, field}] = value;
+      }
+      // Every step checks every copy.  Only some steps root the copies
+      // themselves; the others root a throwaway copy, so later forks are
+      // taken from both committed and dirty sources.
+      const bool commit = rng() % 3 == 0;
+      for (std::size_t i = 0; i < family.size(); ++i) {
+        Copy& c = *family[i];
+        ASSERT_TRUE(matches_model(c))
+            << "seed " << seed << " step " << step << " copy " << i;
+        WorldState probe = c.ws;
+        WorldState& rooted = commit ? c.ws : probe;
+        ASSERT_EQ(rooted.state_root(), rooted.state_root_full_rebuild())
+            << "seed " << seed << " step " << step << " copy " << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

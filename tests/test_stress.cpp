@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -145,6 +146,116 @@ TEST(StressWorldState, CommitPipelineOverlapsCopiesAndSubmissions) {
     EXPECT_EQ(res.state_root, oracles[h]) << "height " << h;
     if (h > 0) EXPECT_GT(res.sequence, handles[h - 1].get().sequence);
   }
+}
+
+TEST(StressWorldState, CopiesOfASharedParentRaceTheOwnersWrites) {
+  // Copies share the parent's persistent maps.  Reader threads copy, write
+  // and drop copies of the const parent and of the owner's published
+  // snapshots while the owner keeps writing its own copy, so every write
+  // must clone what a snapshot on another thread still reads.  The
+  // interesting assertions are ThreadSanitizer's; the explicit ones check
+  // that no write leaks into the parent or into a published snapshot.
+  Xoshiro256 rng(0xC0B1E5);
+  WorldState genesis;
+  random_writes(rng, genesis, 512);
+  const auto parent = std::make_shared<const WorldState>(std::move(genesis));
+  const Hash256 parent_root = parent->state_root();
+  const Address counter = addr_of(1000);  // outside random_writes' range
+
+  std::mutex mu;
+  std::shared_ptr<const WorldState> published = parent;  // guarded by mu
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  auto reader = [&](std::uint64_t seed) {
+    Xoshiro256 local(seed);
+    while (!done.load(std::memory_order_acquire)) {
+      std::shared_ptr<const WorldState> snap;
+      {
+        std::scoped_lock lk(mu);
+        snap = published;
+      }
+      WorldState copy = (local() % 2) ? *parent : *snap;
+      random_writes(local, copy, 8);  // private to this copy
+      if (snap->get(StateKey::balance(counter)) !=
+              snap->get(StateKey::nonce(counter)) ||
+          parent->get(StateKey::balance(counter)) != U256{})
+        ++mismatches;
+      if (local() % 16 == 0 &&
+          copy.state_root() != copy.state_root_full_rebuild())
+        ++mismatches;
+    }
+  };
+  std::vector<std::thread> readers;
+  for (std::uint64_t t = 0; t < 3; ++t) readers.emplace_back(reader, 7 + t);
+
+  WorldState owner = *parent;
+  for (std::uint64_t v = 1; v <= 400; ++v) {
+    random_writes(rng, owner, 16);
+    owner.set(StateKey::balance(counter), U256{v});
+    owner.set(StateKey::nonce(counter), U256{v});
+    if (v % 8 == 0) {
+      (void)owner.state_root();  // commits share the memo maps too
+      auto snap = std::make_shared<const WorldState>(owner);
+      std::scoped_lock lk(mu);
+      published = std::move(snap);  // the previous snapshot may drop here
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(owner.get(StateKey::balance(counter)), U256{400});
+  EXPECT_EQ(owner.state_root(), owner.state_root_full_rebuild());
+  EXPECT_EQ(parent->state_root(), parent_root);
+  EXPECT_EQ(parent->state_root_full_rebuild(), parent_root);
+  EXPECT_EQ(published->state_root(), published->state_root_full_rebuild());
+}
+
+TEST(StressWorldState, ParentDroppedOnAnotherThreadBeforeChildWrites) {
+  // The child starts as a copy of the parent, so every bucket it reaches is
+  // the parent's.  Reader threads hold the only other references, read
+  // everything and drop them; the last drop leaves the child sole owner,
+  // and the child's writes then go in place into memory the readers read.
+  // No lock orders the two: only the ownership test itself may (the flag
+  // below is relaxed on purpose), so ThreadSanitizer checks that test.
+  constexpr std::uint64_t kAccounts = 2048;
+  constexpr int kReaders = 3;
+  WorldState genesis;
+  for (std::uint64_t id = 1; id <= kAccounts; ++id) {
+    genesis.set(StateKey::balance(addr_of(id)), U256{id});
+    genesis.set(StateKey::storage(addr_of(id), U256{id % 7}), U256{id});
+  }
+  auto parent = std::make_shared<const WorldState>(std::move(genesis));
+  const Hash256 parent_root = parent->state_root();
+  WorldState child = *parent;
+
+  std::atomic<int> dropped{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([held = parent, &dropped, &mismatches]() mutable {
+      for (std::uint64_t id = 1; id <= kAccounts; ++id)
+        if (held->get(StateKey::balance(addr_of(id))) != U256{id}) ++mismatches;
+      WorldState scratch = *held;  // clones shared buckets: reads them
+      scratch.set(StateKey::balance(addr_of(1 + kAccounts / 2)), U256{});
+      held.reset();
+      dropped.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  parent.reset();
+  while (dropped.load(std::memory_order_relaxed) < kReaders)
+    std::this_thread::yield();
+  for (std::uint64_t id = 1; id <= kAccounts; ++id) {
+    child.set(StateKey::balance(addr_of(id)), U256{id + 1});
+    child.set(StateKey::storage(addr_of(id), U256{id % 7}), U256{});
+  }
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_NE(child.state_root(), parent_root);
+  EXPECT_EQ(child.state_root(), child.state_root_full_rebuild());
+  EXPECT_EQ(child.get(StateKey::balance(addr_of(kAccounts))),
+            U256{kAccounts + 1});
 }
 
 // ---------------------------------------------------------------------------

@@ -305,6 +305,44 @@ TEST_F(ValidatorFixture, BlockStmEmptyBlockValidates) {
   EXPECT_TRUE(outcome.valid) << outcome.reject_reason;
 }
 
+TEST_F(ValidatorFixture, RejectsTransactionsTheHeaderDoesNotCommitTo) {
+  // Two independent native transfers with equal gas: swapping them (and
+  // their profile entries) leaves every post-state, receipt and bloom
+  // unchanged, so only the header's tx_root can tell the lists apart.
+  genesis = state::WorldState{};
+  for (std::uint64_t id = 1; id <= 2; ++id)
+    genesis.set(state::StateKey::balance(Address::from_id(id)),
+                U256{1}.shl(80));
+  std::vector<chain::Transaction> txs(2);
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    txs[i].from = Address::from_id(1 + i);
+    txs[i].to = Address::from_id(3 + i);
+    txs[i].value = U256{5 + i};
+    txs[i].gas_limit = 21'000;
+    txs[i].gas_price = U256{1};
+  }
+  const SerialResult r = execute_serial(genesis, ctx_for(1), std::span(txs));
+  ASSERT_EQ(r.included.size(), 2u);
+  ASSERT_EQ(r.exec.profile.txs[0].gas_used, r.exec.profile.txs[1].gas_used);
+  BlockBundle bundle;
+  bundle.block = seal_block(ctx_for(1), r.exec, r.included);
+  bundle.profile = r.exec.profile;
+
+  for (const auto engine :
+       {ValidatorEngine::kSubgraphLpt, ValidatorEngine::kBlockStm}) {
+    const auto honest = validate(bundle, 2, engine);
+    EXPECT_TRUE(honest.valid) << honest.reject_reason;
+  }
+  std::swap(bundle.block.transactions[0], bundle.block.transactions[1]);
+  std::swap(bundle.profile.txs[0], bundle.profile.txs[1]);
+  for (const auto engine :
+       {ValidatorEngine::kSubgraphLpt, ValidatorEngine::kBlockStm}) {
+    const auto outcome = validate(bundle, 2, engine);
+    EXPECT_FALSE(outcome.valid);
+    EXPECT_EQ(outcome.reject_reason, "transactions root mismatch");
+  }
+}
+
 TEST_F(ValidatorFixture, AdaptiveResolvesToAFixedEngine) {
   const auto bundle = honest_block(60);
   const auto outcome = validate(bundle, 4, ValidatorEngine::kAdaptive);

@@ -21,13 +21,13 @@ class Bloom {
 
   /// Sets the three bloom bits for one indexable byte string.
   void add(std::span<const std::uint8_t> item) noexcept {
-    const crypto::Digest digest = crypto::keccak256(item);
+    add_digest(crypto::keccak256(item));
+  }
+
+  /// The same, from the item's keccak256 digest (for batch-hashed items).
+  void add_digest(const crypto::Digest& digest) noexcept {
     for (int pair = 0; pair < 3; ++pair) {
-      const std::size_t bit =
-          ((static_cast<std::size_t>(digest[static_cast<std::size_t>(pair) * 2])
-            << 8) |
-           digest[static_cast<std::size_t>(pair) * 2 + 1]) &
-          0x7ff;
+      const std::size_t bit = bit_index(digest, pair);
       bits_[kBytes - 1 - bit / 8] |= static_cast<std::uint8_t>(1u << (bit % 8));
     }
   }
@@ -36,11 +36,7 @@ class Bloom {
   bool may_contain(std::span<const std::uint8_t> item) const noexcept {
     const crypto::Digest digest = crypto::keccak256(item);
     for (int pair = 0; pair < 3; ++pair) {
-      const std::size_t bit =
-          ((static_cast<std::size_t>(digest[static_cast<std::size_t>(pair) * 2])
-            << 8) |
-           digest[static_cast<std::size_t>(pair) * 2 + 1]) &
-          0x7ff;
+      const std::size_t bit = bit_index(digest, pair);
       if ((bits_[kBytes - 1 - bit / 8] &
            static_cast<std::uint8_t>(1u << (bit % 8))) == 0)
         return false;
@@ -74,6 +70,12 @@ class Bloom {
   friend bool operator==(const Bloom&, const Bloom&) noexcept = default;
 
  private:
+  // The low 11 bits of digest byte pair `pair` (bytes 2*pair, 2*pair+1).
+  static std::size_t bit_index(const crypto::Digest& digest, int pair) noexcept {
+    const auto i = static_cast<std::size_t>(pair) * 2;
+    return ((static_cast<std::size_t>(digest[i]) << 8) | digest[i + 1]) & 0x7ff;
+  }
+
   std::array<std::uint8_t, kBytes> bits_{};
 };
 

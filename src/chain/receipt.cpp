@@ -47,9 +47,28 @@ std::vector<std::uint8_t> Receipt::rlp_encode(const Bloom& bloom) const {
 }
 
 std::vector<Bloom> receipt_blooms(const std::vector<Receipt>& receipts) {
-  std::vector<Bloom> blooms;
-  blooms.reserve(receipts.size());
-  for (const Receipt& r : receipts) blooms.push_back(r.bloom());
+  // Every log address and topic of the block, hashed in one batch.
+  std::size_t topic_count = 0;
+  for (const Receipt& r : receipts)
+    for (const evm::LogRecord& log : r.logs) topic_count += log.topics.size();
+  std::vector<std::array<std::uint8_t, 32>> topics;
+  topics.reserve(topic_count);  // never reallocates: `items` points into it
+  std::vector<std::span<const std::uint8_t>> items;
+  for (const Receipt& r : receipts)
+    for (const evm::LogRecord& log : r.logs) {
+      items.emplace_back(log.address.bytes);
+      for (const U256& topic : log.topics)
+        items.emplace_back(topics.emplace_back(topic.to_be_bytes()));
+    }
+  std::vector<crypto::Digest> digests(items.size());
+  crypto::keccak256_batch(items, digests);
+
+  std::vector<Bloom> blooms(receipts.size());
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < receipts.size(); ++i)
+    for (const evm::LogRecord& log : receipts[i].logs)
+      for (std::size_t k = 0; k <= log.topics.size(); ++k)
+        blooms[i].add_digest(digests[next++]);
   return blooms;
 }
 

@@ -7,10 +7,11 @@
 namespace blockpilot::rlp {
 namespace {
 
-void append_length(Bytes& out, std::size_t len, std::uint8_t short_base,
-                   std::uint8_t long_base) {
+// Header for a `len`-byte payload: base + len up to 55 bytes, else
+// base + 55 + n followed by len as n big-endian bytes.
+void append_length(Bytes& out, std::size_t len, std::uint8_t base) {
   if (len <= 55) {
-    out.push_back(static_cast<std::uint8_t>(short_base + len));
+    out.push_back(static_cast<std::uint8_t>(base + len));
     return;
   }
   std::uint8_t be[8];
@@ -18,7 +19,7 @@ void append_length(Bytes& out, std::size_t len, std::uint8_t short_base,
   for (std::size_t v = len; v != 0; v >>= 8) ++n;
   for (int i = 0; i < n; ++i)
     be[n - 1 - i] = static_cast<std::uint8_t>(len >> (8 * i));
-  out.push_back(static_cast<std::uint8_t>(long_base + n));
+  out.push_back(static_cast<std::uint8_t>(base + 55 + n));
   out.insert(out.end(), be, be + n);
 }
 
@@ -31,14 +32,34 @@ Bytes minimal_be(const U256& value) {
 
 }  // namespace
 
+std::size_t header_size(std::size_t len) {
+  std::size_t n = 1;
+  if (len > 55)
+    for (std::size_t v = len; v != 0; v >>= 8) ++n;
+  return n;
+}
+
+void append_string_header(Bytes& out, std::size_t len) {
+  append_length(out, len, 0x80);
+}
+
+void append_list_header(Bytes& out, std::size_t len) {
+  append_length(out, len, 0xc0);
+}
+
+std::size_t string_size(std::span<const std::uint8_t> str) {
+  if (str.size() == 1 && str[0] < 0x80) return 1;
+  return header_size(str.size()) + str.size();
+}
+
+void append_string(Bytes& out, std::span<const std::uint8_t> str) {
+  if (str.size() != 1 || str[0] >= 0x80)
+    append_string_header(out, str.size());
+  out.insert(out.end(), str.begin(), str.end());
+}
+
 void Encoder::append_string(std::span<const std::uint8_t> str) {
-  Bytes& dst = out();
-  if (str.size() == 1 && str[0] < 0x80) {
-    dst.push_back(str[0]);
-    return;
-  }
-  append_length(dst, str.size(), 0x80, 0xb7);
-  dst.insert(dst.end(), str.begin(), str.end());
+  rlp::append_string(out(), str);
 }
 
 Encoder& Encoder::add(std::span<const std::uint8_t> str) {
@@ -86,7 +107,7 @@ Encoder& Encoder::end_list() {
   Bytes payload = std::move(stack_.back());
   stack_.pop_back();
   Bytes& dst = out();
-  append_length(dst, payload.size(), 0xc0, 0xf7);
+  append_list_header(dst, payload.size());
   dst.insert(dst.end(), payload.begin(), payload.end());
   return *this;
 }

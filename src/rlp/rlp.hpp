@@ -53,6 +53,17 @@ class Encoder {
   std::vector<Bytes> stack_;  // one pending payload per open list
 };
 
+/// Building blocks for writers that size a list's payload up front and
+/// encode straight into their own buffer (the trie's per-level arena).
+/// header_size: bytes of the header of a string or list with a `len`-byte
+/// payload.  append_string_header: that header for a string, never the
+/// single-byte form.  string_size / append_string: a whole string item.
+std::size_t header_size(std::size_t len);
+void append_string_header(Bytes& out, std::size_t len);
+void append_list_header(Bytes& out, std::size_t len);
+std::size_t string_size(std::span<const std::uint8_t> str);
+void append_string(Bytes& out, std::span<const std::uint8_t> str);
+
 /// Encodes a single byte-string item.
 Bytes encode(std::span<const std::uint8_t> str);
 Bytes encode(std::uint64_t value);

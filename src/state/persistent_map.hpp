@@ -6,7 +6,7 @@
 // (Fanout pointers) and the one bucket it touches unless they are already
 // private, so a copy that then writes k keys pays O(Fanout + k * bucket)
 // and shares everything else with its source.  Privacy is the same
-// use_count() == 1 ownership test trie::owned() uses.
+// exclusive() ownership test trie::owned() uses.
 //
 // Thread-safety matches WorldState: concurrent const access (including
 // copying) is safe; writes must not race with any other access to the same
@@ -22,6 +22,8 @@
 #include <memory>
 #include <utility>
 #include <vector>
+
+#include "support/exclusive.hpp"
 
 namespace blockpilot::state {
 
@@ -101,17 +103,6 @@ class PersistentMap {
     constexpr unsigned kShift = 64 - std::countr_zero(Fanout);
     const auto h = static_cast<std::uint64_t>(Hash{}(key));
     return static_cast<std::size_t>((h * 0x9E3779B97F4A7C15ULL) >> kShift);
-  }
-
-  /// True when `p` is the only reference.  use_count() reads the count
-  /// relaxed; the acq_rel increment of a throwaway copy makes the last
-  /// reads of every co-owner released on another thread happen before the
-  /// caller's in-place write.
-  template <class T>
-  static bool exclusive(const std::shared_ptr<T>& p) {
-    if (p.use_count() != 1) return false;
-    [[maybe_unused]] const std::shared_ptr<T> acquire = p;
-    return true;
   }
 
   Bucket& own_bucket(std::size_t i) {

@@ -184,18 +184,62 @@ Hash256 WorldState::code_hash(const Address& addr) const {
 
 namespace {
 
-// Inserts every slot of `storage` (never zero-valued) into `trie`.
-void put_slots(trie::SecureTrie& trie, const StorageMap& storage) {
-  storage.for_each([&trie](const U256& slot, const U256& value) {
-    const auto key = slot.to_be_bytes();
-    const auto encoded = rlp::encode(value);
-    trie.put(std::span(key), std::span(encoded));
-  });
-}
+// Slot writes to any number of storage tries, staged so that apply()
+// hashes all their secure keys in one keccak256_batch call.
+class SlotWrites {
+ public:
+  /// Stages trie[slot] = value, or the slot's erasure for a null value,
+  /// applying the staged writes itself once kMaxStaged are pending.  The
+  /// trie and the value must outlive apply().
+  void add(trie::SecureTrie& trie, const U256& slot, const U256* value) {
+    writes_.push_back({&trie, slot.to_be_bytes(), value});
+    if (writes_.size() == kMaxStaged) apply();
+  }
+
+  /// Stages every slot of `storage` (never zero-valued).
+  void add_all(trie::SecureTrie& trie, const StorageMap& storage) {
+    storage.for_each([&](const U256& slot, const U256& value) {
+      add(trie, slot, &value);
+    });
+  }
+
+  void apply() {
+    std::vector<std::span<const std::uint8_t>> keys;
+    keys.reserve(writes_.size());
+    for (const Write& w : writes_) keys.emplace_back(w.key);
+    std::vector<crypto::Digest> hashed(keys.size());
+    crypto::keccak256_batch(keys, hashed);
+    for (std::size_t i = 0; i < writes_.size(); ++i) {
+      const Write& w = writes_[i];
+      if (w.value == nullptr) {
+        w.trie->erase_hashed(hashed[i]);
+      } else {
+        const auto encoded = rlp::encode(*w.value);
+        w.trie->put_hashed(hashed[i], std::span(encoded));
+      }
+    }
+    writes_.clear();
+  }
+
+ private:
+  // Plenty for full 8-way batches; small enough that a cold root over a
+  // whole genesis never stages every slot at once (that showed as +4 MB
+  // peak RSS on the mainnet benchmark).
+  static constexpr std::size_t kMaxStaged = 4096;
+
+  struct Write {
+    trie::SecureTrie* trie;
+    std::array<std::uint8_t, 32> key;  // big-endian slot
+    const U256* value;
+  };
+  std::vector<Write> writes_;
+};
 
 Hash256 storage_root_of(const StorageMap& storage) {
   trie::SecureTrie st;
-  put_slots(st, storage);
+  SlotWrites writes;
+  writes.add_all(st, storage);
+  writes.apply();
   return st.root_hash();
 }
 
@@ -229,15 +273,18 @@ Hash256 memoized_code_hash(const AccountData& acct) {
 //                          persistent copies of the storage tries to apply
 //                          slots to, seed cells for fresh accounts, memoized
 //                          roots for body-only changes.  No hashing.
-//   hash    (unlocked)     build/adopt/apply storage tries, hash their
-//                          roots, RLP-encode the accounts.  Reads accounts_
-//                          without the lock — writes never race with root
-//                          queries by contract, so the maps are stable.
+//   hash    (unlocked)     adopt ready storage tries, apply every other
+//                          fold's slot writes (secure keys hashed in one
+//                          batch), hash all their roots in one
+//                          MerklePatriciaTrie::hash_all call, RLP-encode the
+//                          accounts and batch-hash their secure keys.  Reads
+//                          accounts_ without the lock — writes never race
+//                          with root queries by contract, so the maps are
+//                          stable.
 //   install (commit_mu_)   fold results back into commit_ and the account
-//                          trie (puts/erases only — the leaf hashes were
-//                          already memoized in the hash phase), clear the
+//                          trie (puts/erases by hashed key only), clear the
 //                          dirty set, take a persistent account-trie
-//                          snapshot.  No hashing beyond keccak(address).
+//                          snapshot.  No hashing.
 //   root    (unlocked)     hash the snapshot's root.
 //   memo    (commit_mu_)   publish the memo if nothing re-dirtied.
 //
@@ -259,6 +306,7 @@ struct WorldState::StorageFold {
   std::vector<U256> slots;            // kApplySlots: touched slots
   Hash256 storage_root;
   Bytes encoded;                      // account RLP, produced off-lock
+  crypto::Digest key_hash{};          // keccak(addr), the account trie key
   bool adopted = false;               // kBuild: served from a ready seed
   bool published = false;             // this computation filled the account cell
   bool block_adopted = false;         // served from the block cell
@@ -319,11 +367,14 @@ std::vector<WorldState::StorageFold> WorldState::collect_folds_locked() const {
 }
 
 void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
+  // Adopt what a seed cell already holds; stage every other fold's writes.
+  SlotWrites writes;
   for (StorageFold& f : folds) {
     switch (f.kind) {
       case StorageFold::Kind::kPrune:
-        continue;
-      case StorageFold::Kind::kBuild: {
+      case StorageFold::Kind::kBodyOnly:
+        break;
+      case StorageFold::Kind::kBuild:
         if (f.seed != nullptr &&
             f.seed->ready.load(std::memory_order_acquire)) {
           // Another lineage already committed this exact slot map (cell
@@ -341,16 +392,10 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
           f.adopted = true;
           f.block_adopted = true;
         } else {
-          put_slots(f.trie, f.acct->storage);
-          f.storage_root = f.trie.root_hash();
+          writes.add_all(f.trie, f.acct->storage);
         }
-        // Cross-publish so whichever cell is still empty serves the next
-        // replica (an already-ready cell makes publish_seed a no-op).
-        f.published = publish_seed(f.seed, f.trie, f.storage_root);
-        f.block_published = publish_seed(f.block_cell, f.trie, f.storage_root);
         break;
-      }
-      case StorageFold::Kind::kApplySlots: {
+      case StorageFold::Kind::kApplySlots:
         if (f.block_cell != nullptr &&
             f.block_cell->ready.load(std::memory_order_acquire)) {
           // Sibling replica already holds the post-block trie; identical
@@ -362,33 +407,51 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
         }
         // Only the touched slots; untouched subtrees keep their memoized
         // hashes inside the persistent trie.
-        for (const U256& slot : f.slots) {
-          const auto key = slot.to_be_bytes();
-          const U256* value = f.acct->storage.find(slot);
-          if (value == nullptr) {
-            f.trie.erase(std::span(key));
-          } else {
-            const auto encoded = rlp::encode(*value);
-            f.trie.put(std::span(key), std::span(encoded));
-          }
-        }
-        f.storage_root = f.trie.root_hash();
-        f.block_published = publish_seed(f.block_cell, f.trie, f.storage_root);
+        for (const U256& slot : f.slots)
+          writes.add(f.trie, slot, f.acct->storage.find(slot));
         break;
-      }
-      case StorageFold::Kind::kBodyOnly:
-        break;
+    }
+  }
+  writes.apply();
+
+  // Hash every written storage trie together, so each trie level's Keccak
+  // batches span all accounts.
+  const auto written = [](const StorageFold& f) {
+    return (f.kind == StorageFold::Kind::kBuild && !f.adopted) ||
+           (f.kind == StorageFold::Kind::kApplySlots && !f.block_adopted);
+  };
+  std::vector<const trie::MerklePatriciaTrie*> tries;
+  for (const StorageFold& f : folds)
+    if (written(f)) tries.push_back(&f.trie.inner());
+  trie::MerklePatriciaTrie::hash_all(tries);
+
+  std::vector<std::span<const std::uint8_t>> addrs;
+  addrs.reserve(folds.size());
+  for (StorageFold& f : folds) {
+    addrs.emplace_back(f.addr.bytes);
+    if (f.kind == StorageFold::Kind::kPrune) continue;
+    if (written(f)) f.storage_root = f.trie.root_hash();
+    if (f.kind == StorageFold::Kind::kBuild) {
+      // Cross-publish so whichever cell is still empty serves the next
+      // replica (an already-ready cell makes publish_seed a no-op).
+      f.published = publish_seed(f.seed, f.trie, f.storage_root);
+      f.block_published = publish_seed(f.block_cell, f.trie, f.storage_root);
+    } else if (written(f)) {
+      f.block_published = publish_seed(f.block_cell, f.trie, f.storage_root);
     }
     f.encoded =
         encode_account(*f.acct, f.storage_root, memoized_code_hash(*f.acct));
   }
+  std::vector<crypto::Digest> keys(folds.size());
+  crypto::keccak256_batch(addrs, keys);
+  for (std::size_t i = 0; i < folds.size(); ++i) folds[i].key_hash = keys[i];
 }
 
 trie::SecureTrie WorldState::install_folds_locked(
     std::vector<StorageFold>& folds) const {
   for (StorageFold& f : folds) {
     if (f.kind == StorageFold::Kind::kPrune) {
-      account_trie_.erase(std::span(f.addr.bytes));
+      account_trie_.erase_hashed(f.key_hash);
       commit_.erase(f.addr);
       continue;
     }
@@ -425,7 +488,7 @@ trie::SecureTrie WorldState::install_folds_locked(
       if (f.block_published)
         block_seeds_->seeds_built.fetch_add(1, std::memory_order_relaxed);
     }
-    account_trie_.put(std::span(f.addr.bytes), std::span(f.encoded));
+    account_trie_.put_hashed(f.key_hash, std::span(f.encoded));
   }
   dirty_.clear();
   root_valid_ = false;

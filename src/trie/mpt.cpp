@@ -6,6 +6,7 @@
 #include "db/node_store.hpp"
 #include "rlp/rlp.hpp"
 #include "support/assert.hpp"
+#include "support/exclusive.hpp"
 #include "trie/mpt_node.hpp"
 #include "trie/node_cache.hpp"
 
@@ -21,20 +22,30 @@ Nibbles to_nibbles(std::span<const std::uint8_t> key) {
   return out;
 }
 
-Bytes hex_prefix_encode(std::span<const std::uint8_t> nibbles, bool is_leaf) {
-  Bytes out;
+namespace {
+
+// Appends the hex-prefix encoding of `nibbles`: a flag nibble (bit 1 leaf,
+// bit 0 odd length), the first nibble or zero padding, then nibble pairs.
+void append_hex_prefix(Bytes& out, std::span<const std::uint8_t> nibbles,
+                       bool is_leaf) {
   const std::uint8_t flag = is_leaf ? 2 : 0;
+  std::size_t i = 0;
   if (nibbles.size() % 2 == 0) {
     out.push_back(static_cast<std::uint8_t>(flag << 4));
-    for (std::size_t i = 0; i < nibbles.size(); i += 2)
-      out.push_back(
-          static_cast<std::uint8_t>((nibbles[i] << 4) | nibbles[i + 1]));
   } else {
     out.push_back(static_cast<std::uint8_t>(((flag | 1) << 4) | nibbles[0]));
-    for (std::size_t i = 1; i < nibbles.size(); i += 2)
-      out.push_back(
-          static_cast<std::uint8_t>((nibbles[i] << 4) | nibbles[i + 1]));
+    i = 1;
   }
+  for (; i < nibbles.size(); i += 2)
+    out.push_back(
+        static_cast<std::uint8_t>((nibbles[i] << 4) | nibbles[i + 1]));
+}
+
+}  // namespace
+
+Bytes hex_prefix_encode(std::span<const std::uint8_t> nibbles, bool is_leaf) {
+  Bytes out;
+  append_hex_prefix(out, nibbles, is_leaf);
   return out;
 }
 
@@ -93,7 +104,7 @@ std::size_t common_prefix(std::span<const std::uint8_t> a,
 // counts, so a shared ancestor can never leak an in-place child mutation.
 NodePtr owned(NodePtr node) {
   if (node == nullptr) return node;
-  if (node.use_count() == 1) {
+  if (exclusive(node)) {
     node->invalidate_ref();
     return node;
   }
@@ -324,40 +335,169 @@ NodePtr remove(NodePtr node, std::span<const std::uint8_t> key,
 
 namespace detail {
 
-std::span<const std::uint8_t> node_ref(const MptNode* node) {
-  // Fast path: published memo.
-  if (node->ref_ready.load(std::memory_order_acquire)) return node->ref();
-  // Serialize the first computation across tries sharing this node.  Lock
-  // order is strictly parent-before-child along an acyclic node graph, so
-  // nested acquisition in encode_node below cannot deadlock.
+namespace {
+
+// Hex-prefix path as an RLP string item.  Its first byte (flag nibble, then
+// the first path nibble or zero) is always below 0x80, so a one-byte path
+// encodes as itself.
+std::size_t path_item_size(const Nibbles& path) {
+  const std::size_t len = 1 + path.size() / 2;
+  return len == 1 ? 1 : rlp::header_size(len) + len;
+}
+
+void put_path(Bytes& out, const Nibbles& path, bool is_leaf) {
+  const std::size_t len = 1 + path.size() / 2;
+  if (len != 1) rlp::append_string_header(out, len);
+  append_hex_prefix(out, path, is_leaf);
+}
+
+// A child reference item: empty string for no child, the inline encoding
+// as-is, or the 32-byte digest as a string.  The child's ref must be
+// published.
+std::size_t child_item_size(const MptNode* child) {
+  if (child == nullptr) return 1;
+  return child->ref_len < 32 ? child->ref_len : 33;
+}
+
+void put_child(Bytes& out, const MptNode* child) {
+  if (child == nullptr) {
+    rlp::append_string(out, {});
+    return;
+  }
+  const std::span<const std::uint8_t> ref = child->ref();
+  if (ref.size() == 32) {
+    rlp::append_string(out, ref);
+  } else {
+    out.insert(out.end(), ref.begin(), ref.end());
+  }
+}
+
+// Appends `node`'s RLP encoding (yellow paper node composition function c)
+// to `out`.  Every child's ref must already be published.
+void append_encoding(Bytes& out, const MptNode* node) {
+  switch (node->kind) {
+    case MptNode::Kind::kLeaf:
+      rlp::append_list_header(
+          out, path_item_size(node->path) + rlp::string_size(node->value));
+      put_path(out, node->path, /*is_leaf=*/true);
+      rlp::append_string(out, node->value);
+      return;
+    case MptNode::Kind::kExtension:
+      rlp::append_list_header(out, path_item_size(node->path) +
+                                       child_item_size(node->child.get()));
+      put_path(out, node->path, /*is_leaf=*/false);
+      put_child(out, node->child.get());
+      return;
+    case MptNode::Kind::kBranch: {
+      std::size_t payload = rlp::string_size(node->value);
+      for (const auto& child : node->children)
+        payload += child_item_size(child.get());
+      rlp::append_list_header(out, payload);
+      for (const auto& child : node->children) put_child(out, child.get());
+      rlp::append_string(out, node->value);
+      return;
+    }
+  }
+}
+
+// Publish-if-unset: the first ref published for a node wins, and later
+// publishers (another thread hashing a copy that shares the node) drop
+// their identical result.  The lock only orders the memo bytes against
+// ref_ready; nobody encodes or hashes while holding it.
+void publish_ref(const MptNode* node, std::span<const std::uint8_t> ref) {
   while (node->ref_lock.test_and_set(std::memory_order_acquire)) {
   }
   if (!node->ref_ready.load(std::memory_order_relaxed)) {
-    const Bytes encoded = encode_node(node);
-    if (encoded.size() < 32) {
-      node->set_ref(encoded);
-    } else {
-      node->set_ref(crypto::keccak256(std::span(encoded)));
-    }
+    node->set_ref(ref);
     node->ref_ready.store(true, std::memory_order_release);
   }
   node->ref_lock.clear(std::memory_order_release);
-  return node->ref();
 }
 
-// A reference to a child node: inline RLP when < 32 bytes, else the keccak
-// hash as a 32-byte string.
-void append_reference(rlp::Encoder& enc, const Node* node) {
-  if (node == nullptr) {
-    enc.add(std::span<const std::uint8_t>{});
-    return;
+// Appends each node under `node` whose ref is unpublished to
+// levels[height], where a node's height is one more than its highest
+// pending child's (0 when it has none).  Returns `node`'s height, or -1
+// when its ref is already published, which also covers every stub (refs
+// are published from birth) and, by the memo invariant, its whole subtree.
+int collect_pending(const MptNode* node,
+                    std::vector<std::vector<const MptNode*>>& levels) {
+  if (node == nullptr || node->ref_ready.load(std::memory_order_acquire))
+    return -1;
+  int below = -1;
+  if (node->kind == MptNode::Kind::kExtension) {
+    below = collect_pending(node->child.get(), levels);
+  } else if (node->kind == MptNode::Kind::kBranch) {
+    for (const auto& child : node->children)
+      below = std::max(below, collect_pending(child.get(), levels));
   }
-  const std::span<const std::uint8_t> ref = node_ref(node);
-  if (ref.size() < 32) {
-    enc.add_raw(ref);
-  } else {
-    enc.add(ref);
+  const auto height = static_cast<std::size_t>(below + 1);
+  if (levels.size() <= height) levels.resize(height + 1);
+  levels[height].push_back(node);
+  return below + 1;
+}
+
+// Nodes encoded per arena fill.  A cold root (a whole genesis state) has
+// levels of many thousand nodes; chunking bounds the arena while keeping
+// 128 full 8-way groups per keccak256_batch call.
+constexpr std::size_t kChunk = 1024;
+
+// The only hashing path: publishes the ref of every pending node under
+// `roots`, level by level from the leaves up so each level's children are
+// published before it encodes.  A level encodes into one arena; refs
+// shorter than 32 bytes publish as they are and the rest hash in one
+// keccak256_batch call.  Roots may share pending nodes, within one call or
+// with a concurrent call on another thread; a shared node is then encoded
+// and hashed more than once, identically, and published once.
+void hash_pending(std::span<const MptNode* const> roots) {
+  std::vector<std::vector<const MptNode*>> levels;
+  for (const MptNode* root : roots) collect_pending(root, levels);
+  Bytes arena;
+  std::vector<std::size_t> ends;
+  std::vector<std::span<const std::uint8_t>> inputs;
+  std::vector<const MptNode*> hashed;
+  std::vector<crypto::Digest> digests;
+  for (const auto& level : levels) {
+    for (std::size_t first = 0; first < level.size(); first += kChunk) {
+      const std::span<const MptNode* const> chunk =
+          std::span(level).subspan(first, std::min(kChunk, level.size() - first));
+      arena.clear();
+      ends.clear();
+      for (const MptNode* node : chunk) {
+        append_encoding(arena, node);
+        ends.push_back(arena.size());
+      }
+      inputs.clear();
+      hashed.clear();
+      std::size_t begin = 0;
+      for (std::size_t i = 0; i < chunk.size(); ++i) {
+        const std::span<const std::uint8_t> enc(arena.data() + begin,
+                                                ends[i] - begin);
+        begin = ends[i];
+        if (enc.size() < 32) {
+          publish_ref(chunk[i], enc);
+        } else {
+          inputs.push_back(enc);
+          hashed.push_back(chunk[i]);
+        }
+      }
+      digests.resize(inputs.size());
+      crypto::keccak256_batch(inputs, digests);
+      for (std::size_t i = 0; i < hashed.size(); ++i)
+        publish_ref(hashed[i], digests[i]);
+    }
   }
+}
+
+}  // namespace
+
+std::span<const std::uint8_t> node_ref(const MptNode* node) {
+  if (!node->ref_ready.load(std::memory_order_acquire)) {
+    hash_pending(std::span(&node, 1));
+    // Published by us or by a concurrent hasher; either way the acquire
+    // orders the memo bytes before the read below.
+    BP_ASSERT(node->ref_ready.load(std::memory_order_acquire));
+  }
+  return node->ref();
 }
 
 namespace {
@@ -449,30 +589,10 @@ void load_stub(const MptNode* node) {
 }
 
 Bytes encode_node(const Node* node) {
-  rlp::Encoder enc;
-  switch (node->kind) {
-    case Node::Kind::kLeaf: {
-      const Bytes hp = hex_prefix_encode(node->path, /*is_leaf=*/true);
-      enc.begin_list().add(std::span(hp)).add(std::span(node->value)).end_list();
-      break;
-    }
-    case Node::Kind::kExtension: {
-      const Bytes hp = hex_prefix_encode(node->path, /*is_leaf=*/false);
-      enc.begin_list().add(std::span(hp));
-      append_reference(enc, node->child.get());
-      enc.end_list();
-      break;
-    }
-    case Node::Kind::kBranch: {
-      enc.begin_list();
-      for (const auto& child : node->children)
-        append_reference(enc, child.get());
-      enc.add(std::span(node->value));
-      enc.end_list();
-      break;
-    }
-  }
-  return enc.take();
+  node_ref(node);  // publishes every child's ref
+  Bytes out;
+  append_encoding(out, node);
+  return out;
 }
 
 }  // namespace detail
@@ -504,6 +624,15 @@ void MerklePatriciaTrie::erase(std::span<const std::uint8_t> key) {
   root_ = remove(std::move(root_), std::span(nibbles), removed);
   // from_root tries report size 0 (unknown), so guard the decrement.
   if (removed && size_ > 0) --size_;
+}
+
+void MerklePatriciaTrie::hash_all(
+    std::span<const MerklePatriciaTrie* const> tries) {
+  std::vector<const detail::MptNode*> roots;
+  roots.reserve(tries.size());
+  for (const MerklePatriciaTrie* t : tries)
+    if (t->root_ != nullptr) roots.push_back(t->root_.get());
+  detail::hash_pending(roots);
 }
 
 Hash256 MerklePatriciaTrie::root_hash() const {

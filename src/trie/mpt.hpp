@@ -89,6 +89,11 @@ class MerklePatriciaTrie {
   /// root (keccak of the RLP empty string) is returned for an empty trie.
   Hash256 root_hash() const;
 
+  /// Hashes the pending nodes of all `tries` together, so each level's
+  /// Keccak batches span every trie; their root_hash() calls then only read
+  /// memos.  Same result as calling root_hash() on each.
+  static void hash_all(std::span<const MerklePatriciaTrie* const> tries);
+
   /// The canonical empty-trie root constant.
   static Hash256 empty_root();
 
@@ -123,8 +128,17 @@ class SecureTrie {
  public:
   void put(std::span<const std::uint8_t> key,
            std::span<const std::uint8_t> value) {
-    const auto hashed = crypto::keccak256(key);
-    inner_.put(std::span(hashed), value);
+    put_hashed(crypto::keccak256(key), value);
+  }
+
+  /// put / erase by a key already hashed with keccak256, so callers can
+  /// hash many keys in one keccak256_batch call.
+  void put_hashed(const crypto::Digest& hashed_key,
+                  std::span<const std::uint8_t> value) {
+    inner_.put(std::span(hashed_key), value);
+  }
+  void erase_hashed(const crypto::Digest& hashed_key) {
+    inner_.erase(std::span(hashed_key));
   }
 
   std::optional<Bytes> get(std::span<const std::uint8_t> key) const {
@@ -133,8 +147,7 @@ class SecureTrie {
   }
 
   void erase(std::span<const std::uint8_t> key) {
-    const auto hashed = crypto::keccak256(key);
-    inner_.erase(std::span(hashed));
+    erase_hashed(crypto::keccak256(key));
   }
 
   Hash256 root_hash() const { return inner_.root_hash(); }

@@ -12,8 +12,10 @@
 // bytes, else the keccak digest of the RLP).  The memo is filled lazily on
 // first hash and survives until a mutation invalidates the node (mutations
 // only ever touch uniquely-owned nodes, so shared subtrees keep their
-// references).  Because tries that share structure may hash concurrently on
-// the commit pool, the memo is guarded by a per-node spinlock.
+// references).  A published memo implies published memos in the whole
+// subtree below it.  Tries that share structure may hash concurrently on
+// the commit pool, so a ref is published if unset under a per-node spinlock
+// (the first publisher wins; encoding and hashing happen outside it).
 #pragma once
 
 #include <algorithm>
@@ -23,7 +25,6 @@
 #include <span>
 
 #include "crypto/keccak.hpp"
-#include "rlp/rlp.hpp"
 #include "support/assert.hpp"
 #include "trie/mpt.hpp"
 
@@ -48,8 +49,8 @@ struct MptNode {
   // Memoized node reference: inline RLP when < 32 bytes, else the 32-byte
   // keccak digest, stored in place (ref_len bytes of cached_ref) so the
   // memo costs no heap allocation.  `ref_ready` is the publication flag;
-  // `ref_lock` is a spinlock that serializes the (rare) concurrent first
-  // computation when two tries sharing this node hash at the same time.
+  // `ref_lock` serializes publishers, so when two tries sharing this node
+  // hash at the same time the second one's identical ref is dropped.
   mutable std::atomic<bool> ref_ready{false};
   mutable std::atomic_flag ref_lock = ATOMIC_FLAG_INIT;
   mutable std::uint8_t ref_len = 0;
@@ -118,14 +119,14 @@ struct MptNode {
 };
 
 // Encodes a node to RLP (yellow paper node composition function c).  Child
-// references resolve through each child's memoized reference.
+// references resolve through each child's memoized reference, hashing any
+// that are pending first.
 Bytes encode_node(const MptNode* node);
 
-// Appends a child reference: inline RLP when < 32 bytes, else keccak hash.
-void append_reference(rlp::Encoder& enc, const MptNode* node);
-
-// The node's memoized reference (computing and caching it on first use).
-// The span stays valid while the node is alive and unmutated.
+// The node's memoized reference.  On first use it hashes every pending node
+// below it level by level, each level in one keccak256_batch call, and
+// publishes their refs.  The span stays valid while the node is alive and
+// unmutated.
 std::span<const std::uint8_t> node_ref(const MptNode* node);
 
 // Materializes an unloaded stub from its store (read-through the global

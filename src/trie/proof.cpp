@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "rlp/rlp.hpp"
 #include "support/assert.hpp"
 #include "trie/mpt_node.hpp"
 

@@ -199,6 +199,26 @@ TEST(Receipt, BloomCoversLogAddressAndTopics) {
   EXPECT_TRUE(b.may_contain(std::span(topic)));
 }
 
+TEST(Receipt, BatchedBloomsEqualEachReceiptsOwn) {
+  // receipt_blooms hashes a block's log addresses and topics in one batch;
+  // each bloom must equal the receipt's own, for receipts with no logs,
+  // logs with no topics and logs with up to four topics.
+  std::vector<Receipt> receipts(12);
+  for (std::size_t i = 0; i < receipts.size(); ++i)
+    for (std::size_t l = 0; l < i % 4; ++l) {
+      evm::LogRecord log;
+      log.address = Address::from_id(100 + i * 7 + l);
+      for (std::size_t t = 0; t < (i + l) % 5; ++t)
+        log.topics.push_back(U256{i * 1000 + l * 10 + t});
+      receipts[i].logs.push_back(std::move(log));
+    }
+  const std::vector<Bloom> blooms = receipt_blooms(receipts);
+  ASSERT_EQ(blooms.size(), receipts.size());
+  for (std::size_t i = 0; i < receipts.size(); ++i)
+    EXPECT_EQ(blooms[i], receipts[i].bloom()) << "receipt " << i;
+  EXPECT_TRUE(receipt_blooms({}).empty());
+}
+
 TEST(Receipt, RootSensitiveToContent) {
   Receipt a;
   a.success = true;

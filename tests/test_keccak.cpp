@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "types/address.hpp"
 
 namespace blockpilot::crypto {
@@ -106,6 +108,70 @@ TEST(Keccak, GoldenDigestsAcrossRateBoundaries) {
         << "incremental len=" << g.len;
   }
 }
+
+// keccak256_batch must equal keccak256 input by input, through each build
+// of the 8-lane kernel: every length 0..700 in one call (groups of every
+// rate-block count, full and short), then batches of 1..17 mixed lengths
+// (the scalar tail, padded ways and several groups per call).
+class KeccakBatch : public ::testing::TestWithParam<detail::BatchKernel> {
+ protected:
+  void SetUp() override {
+    if (!detail::batch_kernel_supported(GetParam()))
+      GTEST_SKIP() << "CPU lacks avx512f";
+  }
+
+  void expect_matches_scalar(const std::vector<std::vector<std::uint8_t>>& data) {
+    std::vector<std::span<const std::uint8_t>> inputs(data.begin(), data.end());
+    std::vector<Digest> out(inputs.size());
+    detail::keccak256_batch(GetParam(), inputs, out);
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+      ASSERT_EQ(out[i], keccak256(inputs[i]))
+          << "input " << i << " of " << inputs.size() << ", len "
+          << inputs[i].size();
+  }
+};
+
+std::vector<std::uint8_t> patterned(std::size_t len, std::size_t salt) {
+  std::vector<std::uint8_t> v(len);
+  for (std::size_t i = 0; i < len; ++i)
+    v[i] = static_cast<std::uint8_t>(31 * i + 7 * salt + 1);
+  return v;
+}
+
+TEST_P(KeccakBatch, EveryLengthUpTo700) {
+  std::vector<std::vector<std::uint8_t>> data;
+  for (std::size_t len = 0; len <= 700; ++len) data.push_back(patterned(len, len));
+  expect_matches_scalar(data);
+}
+
+TEST_P(KeccakBatch, MixedLengthBatchesOf1To17) {
+  std::uint64_t rng = 0x9E3779B97F4A7C15ULL;
+  const auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  for (std::size_t n = 1; n <= 17; ++n) {
+    for (int round = 0; round < 20; ++round) {
+      std::vector<std::vector<std::uint8_t>> data;
+      for (std::size_t i = 0; i < n; ++i)
+        data.push_back(patterned(next() % 701, next()));
+      expect_matches_scalar(data);
+    }
+  }
+}
+
+TEST_P(KeccakBatch, EmptyBatch) { expect_matches_scalar({}); }
+
+INSTANTIATE_TEST_SUITE_P(Kernels, KeccakBatch,
+                         ::testing::Values(detail::BatchKernel::kGeneric,
+                                           detail::BatchKernel::kAvx512),
+                         [](const auto& info) {
+                           return info.param == detail::BatchKernel::kGeneric
+                                      ? std::string("Generic")
+                                      : std::string("Avx512");
+                         });
 
 TEST(Keccak, DistinctInputsDistinctDigests) {
   EXPECT_NE(keccak256("a"), keccak256("b"));

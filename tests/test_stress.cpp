@@ -17,6 +17,7 @@
 #include "support/mpmc_queue.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
+#include "trie/mpt.hpp"
 
 namespace blockpilot {
 namespace {
@@ -256,6 +257,60 @@ TEST(StressWorldState, ParentDroppedOnAnotherThreadBeforeChildWrites) {
   EXPECT_EQ(child.state_root(), child.state_root_full_rebuild());
   EXPECT_EQ(child.get(StateKey::balance(addr_of(kAccounts))),
             U256{kAccounts + 1});
+}
+
+TEST(StressTrie, SharedTrieDroppedOnAnotherThreadBeforeOwnersPut) {
+  // The trie counterpart of the test above.  Reader threads hold the only
+  // other copy of a hashed trie, read every key and drop it; the last drop
+  // leaves the owner sole owner of every node, and its puts then rewrite
+  // those nodes in place.  Only the ownership test in trie::owned() may
+  // order the readers' reads before those writes (the flag is relaxed on
+  // purpose), so ThreadSanitizer checks that test.
+  constexpr std::uint64_t kKeys = 2048;
+  constexpr int kReaders = 3;
+  const auto key_of = [](std::uint64_t id) {
+    return Hash256::of(U256{id}.to_be_bytes());
+  };
+  trie::MerklePatriciaTrie owner;
+  for (std::uint64_t id = 1; id <= kKeys; ++id) {
+    const auto value = U256{id}.to_be_bytes();
+    const Hash256 key = key_of(id);
+    owner.put(std::span(key.bytes), std::span(value));
+  }
+  const Hash256 shared_root = owner.root_hash();
+  auto shared = std::make_shared<const trie::MerklePatriciaTrie>(owner);
+
+  std::atomic<int> dropped{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([held = shared, key_of, &dropped, &mismatches]() mutable {
+      for (std::uint64_t id = 1; id <= kKeys; ++id) {
+        const Hash256 key = key_of(id);
+        const auto got = held->get(std::span(key.bytes));
+        const auto want = U256{id}.to_be_bytes();
+        if (!got || !std::equal(got->begin(), got->end(), want.begin(), want.end()))
+          ++mismatches;
+      }
+      held.reset();
+      dropped.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  shared.reset();
+  while (dropped.load(std::memory_order_relaxed) < kReaders)
+    std::this_thread::yield();
+  trie::MerklePatriciaTrie rebuilt;
+  for (std::uint64_t id = 1; id <= kKeys; ++id) {
+    const auto value = U256{id + 1}.to_be_bytes();
+    const Hash256 key = key_of(id);
+    owner.put(std::span(key.bytes), std::span(value));
+    rebuilt.put(std::span(key.bytes), std::span(value));
+  }
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_NE(owner.root_hash(), shared_root);
+  EXPECT_EQ(owner.root_hash(), rebuilt.root_hash());
 }
 
 // ---------------------------------------------------------------------------

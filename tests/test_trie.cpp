@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <thread>
 
+#include "rlp/rlp.hpp"
 #include "support/rng.hpp"
 
 namespace blockpilot::trie {
@@ -333,6 +335,193 @@ TEST(TrieIncremental, InterleavedHashingMatchesColdRebuild) {
       MerklePatriciaTrie cold;
       for (const auto& [k, v] : reference) cold.put(std::span(k), std::span(v));
       ASSERT_EQ(incremental, cold.root_hash()) << "iter " << iter;
+    }
+  }
+}
+
+// ---- batched hashing (MerklePatriciaTrie::hash_all) -----------------------
+
+// Reference root straight from the yellow-paper definition over sorted
+// (nibble key, value) pairs, encoded with rlp::Encoder and hashed with the
+// scalar keccak256: nothing here goes through the trie's node memos, its
+// level-order encoder or keccak256_batch.
+using Pairs = std::vector<std::pair<Nibbles, Bytes>>;
+
+Bytes reference_node(const Pairs& pairs, std::size_t lo, std::size_t hi,
+                     std::size_t depth);
+
+void add_reference_child(rlp::Encoder& enc, const Pairs& pairs, std::size_t lo,
+                         std::size_t hi, std::size_t depth) {
+  if (lo == hi) {
+    enc.add(std::span<const std::uint8_t>{});
+    return;
+  }
+  const Bytes node = reference_node(pairs, lo, hi, depth);
+  if (node.size() < 32) {
+    enc.add_raw(std::span(node));
+  } else {
+    const auto digest = crypto::keccak256(std::span(node));
+    enc.add(std::span(digest));
+  }
+}
+
+Bytes reference_node(const Pairs& pairs, std::size_t lo, std::size_t hi,
+                     std::size_t depth) {
+  rlp::Encoder enc;
+  const auto rest = [&](std::size_t i, std::size_t from) {
+    return std::span(pairs[i].first).subspan(from);
+  };
+  if (hi - lo == 1) {
+    const Bytes hp = hex_prefix_encode(rest(lo, depth), /*is_leaf=*/true);
+    enc.begin_list().add(std::span(hp)).add(std::span(pairs[lo].second));
+    return enc.end_list().take();
+  }
+  // Shared run of nibbles: sorted order makes it the first and last keys'.
+  const auto first = rest(lo, depth), last = rest(hi - 1, depth);
+  std::size_t run = 0;
+  while (run < first.size() && run < last.size() && first[run] == last[run])
+    ++run;
+  if (run > 0) {
+    const Bytes hp = hex_prefix_encode(first.first(run), /*is_leaf=*/false);
+    enc.begin_list().add(std::span(hp));
+    add_reference_child(enc, pairs, lo, hi, depth + run);
+    return enc.end_list().take();
+  }
+  enc.begin_list();
+  std::size_t i = lo;
+  Bytes value;
+  if (pairs[i].first.size() == depth) value = pairs[i++].second;
+  for (std::uint8_t nibble = 0; nibble < 16; ++nibble) {
+    const std::size_t begin = i;
+    while (i < hi && pairs[i].first[depth] == nibble) ++i;
+    add_reference_child(enc, pairs, begin, i, depth + 1);
+  }
+  enc.add(std::span(value));
+  return enc.end_list().take();
+}
+
+Hash256 reference_root(const std::map<Bytes, Bytes>& contents) {
+  if (contents.empty()) return MerklePatriciaTrie::empty_root();
+  Pairs pairs;
+  for (const auto& [k, v] : contents) pairs.emplace_back(to_nibbles(k), v);
+  std::sort(pairs.begin(), pairs.end());
+  const Bytes root = reference_node(pairs, 0, pairs.size(), 0);
+  return Hash256{crypto::keccak256(std::span(root))};
+}
+
+TEST(TrieHashAll, ReferenceRootMatchesCanonicalVector) {
+  // The reference is only an oracle if it lands on a published root.
+  const std::map<Bytes, Bytes> contents = {
+      {bytes("do"), bytes("verb")},
+      {bytes("dog"), bytes("puppy")},
+      {bytes("doge"), bytes("coin")},
+      {bytes("horse"), bytes("stallion")},
+  };
+  EXPECT_EQ(reference_root(contents).to_hex(),
+            "0x5991bb8c6514148a29db676a14ac506cd2cd5775ace63c30a4fe457715e9ac84");
+}
+
+TEST(TrieHashAll, FuzzMatchesEachTriesOwnRoot) {
+  // Several tries per call: empty, tiny (inline root), dense short keys,
+  // 32-byte keys with values past the 55-byte RLP short form, and forks of
+  // one unhashed base that share its pending nodes, some passed twice.
+  Xoshiro256 rng(0xBA7C4);
+  const auto random_bytes = [&rng](std::size_t len, std::uint64_t alphabet) {
+    Bytes b(len);
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng.below(alphabet));
+    return b;
+  };
+  for (int round = 0; round < 40; ++round) {
+    std::vector<MerklePatriciaTrie> tries;
+    std::vector<std::map<Bytes, Bytes>> refs;
+    const auto fill = [&](MerklePatriciaTrie& t, std::map<Bytes, Bytes>& ref,
+                          int ops) {
+      const bool wide = rng.chance(0.5);
+      for (int op = 0; op < ops; ++op) {
+        const Bytes key =
+            wide ? random_bytes(32, 256) : random_bytes(rng.below(5) + 1, 4);
+        if (!ref.empty() && rng.chance(0.2)) {
+          const auto victim = std::next(
+              ref.begin(), static_cast<std::ptrdiff_t>(rng.below(ref.size())));
+          t.erase(std::span(victim->first));
+          ref.erase(victim);
+          continue;
+        }
+        const Bytes value = random_bytes(rng.below(90) + 1, 256);
+        t.put(std::span(key), std::span(value));
+        ref[key] = value;
+      }
+    };
+    const std::size_t solo = rng.below(5);
+    for (std::size_t i = 0; i < solo; ++i) {
+      tries.emplace_back();
+      refs.emplace_back();
+      const auto ops = rng.chance(0.3) ? rng.below(3) : rng.below(120);
+      fill(tries.back(), refs.back(), static_cast<int>(ops));
+    }
+    MerklePatriciaTrie base;
+    std::map<Bytes, Bytes> base_ref;
+    fill(base, base_ref, 60);
+    if (rng.chance(0.5)) (void)base.root_hash();  // some forks start hashed
+    const std::size_t forks = rng.below(4);
+    for (std::size_t i = 0; i < forks; ++i) {
+      tries.push_back(base);
+      refs.push_back(base_ref);
+      fill(tries.back(), refs.back(), static_cast<int>(rng.below(10)));
+    }
+
+    std::vector<const MerklePatriciaTrie*> batch;
+    for (const auto& t : tries) {
+      batch.push_back(&t);
+      if (rng.chance(0.2)) batch.push_back(&t);
+    }
+    MerklePatriciaTrie::hash_all(batch);
+    for (std::size_t i = 0; i < tries.size(); ++i) {
+      MerklePatriciaTrie cold;
+      for (const auto& [k, v] : refs[i]) cold.put(std::span(k), std::span(v));
+      ASSERT_EQ(tries[i].root_hash(), cold.root_hash())
+          << "round " << round << " trie " << i;
+      ASSERT_EQ(tries[i].root_hash(), reference_root(refs[i]))
+          << "round " << round << " trie " << i;
+    }
+  }
+}
+
+TEST(TrieHashAll, ConcurrentRootHashOnCopiesSharingPendingNodes) {
+  // Two copies of an unhashed trie share all its pending nodes; each also
+  // path-copies a few spines of its own.  Both threads hash the shared
+  // nodes at once: each publishes a ref only if the other has not, and
+  // both roots must match their cold rebuilds.
+  Xoshiro256 rng(77);
+  for (int round = 0; round < 20; ++round) {
+    MerklePatriciaTrie base;
+    std::map<Bytes, Bytes> ref;
+    for (int i = 0; i < 400; ++i) {
+      Bytes key(32), value(rng.below(70) + 1);
+      for (auto& b : key) b = static_cast<std::uint8_t>(rng.below(256));
+      for (auto& b : value) b = static_cast<std::uint8_t>(rng.below(256));
+      base.put(std::span(key), std::span(value));
+      ref[key] = value;
+    }
+    MerklePatriciaTrie copies[2] = {base, base};
+    std::map<Bytes, Bytes> refs[2] = {ref, ref};
+    for (int c = 0; c < 2; ++c) {
+      for (int i = 0; i < 5; ++i) {
+        Bytes key(32), value(8, static_cast<std::uint8_t>(c + 1));
+        for (auto& b : key) b = static_cast<std::uint8_t>(rng.below(256));
+        copies[c].put(std::span(key), std::span(value));
+        refs[c][key] = value;
+      }
+    }
+    base = MerklePatriciaTrie();  // the copies are the only owners
+    Hash256 roots[2];
+    std::thread other([&] { roots[1] = copies[1].root_hash(); });
+    roots[0] = copies[0].root_hash();
+    other.join();
+    for (int c = 0; c < 2; ++c) {
+      MerklePatriciaTrie cold;
+      for (const auto& [k, v] : refs[c]) cold.put(std::span(k), std::span(v));
+      ASSERT_EQ(roots[c], cold.root_hash()) << "round " << round << " copy " << c;
     }
   }
 }

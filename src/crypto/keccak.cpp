@@ -23,7 +23,7 @@ constexpr std::size_t kRate = 136;  // 1088-bit rate for Keccak-256
 constexpr std::size_t kRateWords = kRate / 8;
 
 // A macro rather than a function so that vector lanes never pass by value
-// (that would change the ABI of the generic build).
+// outside the AVX-512 target (that changes the ABI).
 #define BP_ROL(x, k) (((x) << (k)) | ((x) >> (64 - (k))))
 
 // One Keccak-f[1600] round from the lanes named A## into those named E##.
@@ -139,7 +139,12 @@ std::size_t rate_blocks(std::size_t len) noexcept { return len / kRate + 1; }
 // Hashes kWays inputs of `blocks` rate blocks each (rate_blocks(size) ==
 // blocks for every one), lane j of the vector state carrying input j.  Each
 // block is transposed into `words` so the absorb is 17 vector loads.
-[[gnu::always_inline]] inline void keccak256_x8_body(
+//
+// Built for AVX-512 only, one zmm register per vector of lanes.  An AVX2
+// build spills the 25-lane state out of the 16 ymm registers, and the
+// baseline SSE2 lowering loses to the scalar permutation unless every way
+// is filled, so without avx512f keccak256_batch stays scalar.
+__attribute__((target("avx512f"))) void keccak256_x8_avx512(
     const std::span<const std::uint8_t>* in, std::size_t blocks,
     Digest* const* out) noexcept {
   Lanes s[25] = {};
@@ -174,32 +179,12 @@ std::size_t rate_blocks(std::size_t len) noexcept { return len / kRate + 1; }
     }
 }
 
-// The same source compiled twice: once for AVX-512 (one zmm per vector of
-// lanes) and once for the baseline ISA, where GCC lowers each vector to
-// SSE2 pairs.  No AVX2 build: there the 25-lane state spills out of the 16
-// ymm registers and runs slower than the SSE2 lowering.
-__attribute__((target("avx512f"))) void keccak256_x8_avx512(
-    const std::span<const std::uint8_t>* in, std::size_t blocks,
-    Digest* const* out) noexcept {
-  keccak256_x8_body(in, blocks, out);
-}
-
-void keccak256_x8_generic(const std::span<const std::uint8_t>* in,
-                          std::size_t blocks, Digest* const* out) noexcept {
-  keccak256_x8_body(in, blocks, out);
-}
-
-using KernelFn = void (*)(const std::span<const std::uint8_t>*, std::size_t,
-                          Digest* const*) noexcept;
-
 // Groups smaller than this hash one by one: padding the rest of the eight
 // ways costs more than the scalar permutations it would replace.
 constexpr std::size_t kMinGroup = 3;
 
-void batch_with(KernelFn kernel,
-                std::span<const std::span<const std::uint8_t>> inputs,
-                std::span<Digest> out) noexcept {
-  BP_ASSERT_MSG(out.size() == inputs.size(), "one digest per input");
+void batch_avx512(std::span<const std::span<const std::uint8_t>> inputs,
+                  std::span<Digest> out) noexcept {
   // Counting sort of input indices by rate-block count, so each run of
   // equal counts can fill the eight ways.
   std::size_t max_blocks = 0;
@@ -229,16 +214,11 @@ void batch_with(KernelFn kernel,
         in[j] = inputs[k];
         dst[j] = j < take ? &out[k] : &spare;
       }
-      kernel(in, blocks, dst);
+      keccak256_x8_avx512(in, blocks, dst);
       i += take;
     }
     for (; i < end; ++i) out[order[i]] = keccak256(inputs[order[i]]);
   }
-}
-
-KernelFn kernel_for(detail::BatchKernel kernel) noexcept {
-  return kernel == detail::BatchKernel::kAvx512 ? keccak256_x8_avx512
-                                                : keccak256_x8_generic;
 }
 
 }  // namespace
@@ -293,26 +273,28 @@ Digest keccak256(std::string_view data) noexcept {
 
 void keccak256_batch(std::span<const std::span<const std::uint8_t>> inputs,
                      std::span<Digest> out) noexcept {
-  static const KernelFn kBest = kernel_for(
-      detail::batch_kernel_supported(detail::BatchKernel::kAvx512)
-          ? detail::BatchKernel::kAvx512
-          : detail::BatchKernel::kGeneric);
-  batch_with(kBest, inputs, out);
+  BP_ASSERT_MSG(out.size() == inputs.size(), "one digest per input");
+  static const bool kUseAvx512 = detail::avx512_batch_supported();
+  if (kUseAvx512) {
+    batch_avx512(inputs, out);
+    return;
+  }
+  for (std::size_t i = 0; i < inputs.size(); ++i) out[i] = keccak256(inputs[i]);
 }
 
 namespace detail {
 
-bool batch_kernel_supported(BatchKernel kernel) noexcept {
-  if (kernel == BatchKernel::kGeneric) return true;
+bool avx512_batch_supported() noexcept {
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx512f");
 }
 
-void keccak256_batch(BatchKernel kernel,
-                     std::span<const std::span<const std::uint8_t>> inputs,
-                     std::span<Digest> out) noexcept {
-  BP_ASSERT_MSG(batch_kernel_supported(kernel), "kernel needs avx512f");
-  batch_with(kernel_for(kernel), inputs, out);
+void keccak256_batch_avx512(
+    std::span<const std::span<const std::uint8_t>> inputs,
+    std::span<Digest> out) noexcept {
+  BP_ASSERT_MSG(avx512_batch_supported(), "the 8-lane kernel needs avx512f");
+  BP_ASSERT_MSG(out.size() == inputs.size(), "one digest per input");
+  batch_avx512(inputs, out);
 }
 
 }  // namespace detail

@@ -23,25 +23,24 @@ Digest keccak256(std::span<const std::uint8_t> data) noexcept;
 /// Convenience overload for string literals / std::string payloads.
 Digest keccak256(std::string_view data) noexcept;
 
-/// Hashes many inputs at once: out[i] = keccak256(inputs[i]).  Inputs with
-/// the same rate-block count go through an 8-lane permutation eight at a
-/// time (AVX-512 when the CPU has it); groups smaller than three hash one by
-/// one.  `out` must hold exactly one digest per input.
+/// Hashes many inputs at once: out[i] = keccak256(inputs[i]).  On a CPU
+/// with avx512f, inputs with the same rate-block count go through an 8-lane
+/// AVX-512 permutation eight at a time and groups smaller than three hash
+/// one by one; without it every input hashes one by one.  `out` must hold
+/// exactly one digest per input.
 void keccak256_batch(std::span<const std::span<const std::uint8_t>> inputs,
                      std::span<Digest> out) noexcept;
 
 namespace detail {
 
-/// The two builds of keccak256_batch's 8-lane permutation, which picks the
-/// fastest the CPU supports.  Exposed so tests can run both.
-enum class BatchKernel { kGeneric, kAvx512 };
+/// Whether this CPU has avx512f, which keccak256_batch's 8-lane kernel needs.
+bool avx512_batch_supported() noexcept;
 
-bool batch_kernel_supported(BatchKernel kernel) noexcept;
-
-/// keccak256_batch through `kernel`, which must be supported.
-void keccak256_batch(BatchKernel kernel,
-                     std::span<const std::span<const std::uint8_t>> inputs,
-                     std::span<Digest> out) noexcept;
+/// keccak256_batch through the 8-lane kernel; the CPU must support it.
+/// Exposed so tests and benchmarks reach the kernel directly.
+void keccak256_batch_avx512(
+    std::span<const std::span<const std::uint8_t>> inputs,
+    std::span<Digest> out) noexcept;
 
 }  // namespace detail
 

@@ -235,6 +235,11 @@ class SlotWrites {
   std::vector<Write> writes_;
 };
 
+// Folds plus slot writes per chunk of hash_folds_unlocked: enough to fill
+// the 8-lane Keccak batches of the lower trie levels, few enough that
+// sibling replicas committing the same block share finished storage tries.
+constexpr std::size_t kChunkWork = 64;
+
 Hash256 storage_root_of(const StorageMap& storage) {
   trie::SecureTrie st;
   SlotWrites writes;
@@ -273,10 +278,11 @@ Hash256 memoized_code_hash(const AccountData& acct) {
 //                          persistent copies of the storage tries to apply
 //                          slots to, seed cells for fresh accounts, memoized
 //                          roots for body-only changes.  No hashing.
-//   hash    (unlocked)     adopt ready storage tries, apply every other
-//                          fold's slot writes (secure keys hashed in one
-//                          batch), hash all their roots in one
-//                          MerklePatriciaTrie::hash_all call, RLP-encode the
+//   hash    (unlocked)     in chunks of folds: adopt ready storage tries,
+//                          apply every other fold's slot writes (secure keys
+//                          hashed in one batch), hash their roots in one
+//                          MerklePatriciaTrie::hash_all call and publish
+//                          them to the seed cells.  Then RLP-encode the
 //                          accounts and batch-hash their secure keys.  Reads
 //                          accounts_ without the lock — writes never race
 //                          with root queries by contract, so the maps are
@@ -367,13 +373,13 @@ std::vector<WorldState::StorageFold> WorldState::collect_folds_locked() const {
 }
 
 void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
-  // Adopt what a seed cell already holds; stage every other fold's writes.
-  SlotWrites writes;
-  for (StorageFold& f : folds) {
+  // Adopts what a seed cell already holds, or stages the fold's writes;
+  // returns how many writes it staged.
+  const auto adopt_or_stage = [](StorageFold& f, SlotWrites& writes) {
     switch (f.kind) {
       case StorageFold::Kind::kPrune:
       case StorageFold::Kind::kBodyOnly:
-        break;
+        return std::size_t{0};
       case StorageFold::Kind::kBuild:
         if (f.seed != nullptr &&
             f.seed->ready.load(std::memory_order_acquire)) {
@@ -382,8 +388,10 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
           f.trie = f.seed->trie;
           f.storage_root = f.seed->storage_root;
           f.adopted = true;
-        } else if (f.block_cell != nullptr &&
-                   f.block_cell->ready.load(std::memory_order_acquire)) {
+          return std::size_t{0};
+        }
+        if (f.block_cell != nullptr &&
+            f.block_cell->ready.load(std::memory_order_acquire)) {
           // A sibling replica of the same block already built this account's
           // post-block trie (deterministic replay guarantees content
           // identity): adopt it in O(1).
@@ -391,10 +399,10 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
           f.storage_root = f.block_cell->storage_root;
           f.adopted = true;
           f.block_adopted = true;
-        } else {
-          writes.add_all(f.trie, f.acct->storage);
+          return std::size_t{0};
         }
-        break;
+        writes.add_all(f.trie, f.acct->storage);
+        return f.acct->storage.size();
       case StorageFold::Kind::kApplySlots:
         if (f.block_cell != nullptr &&
             f.block_cell->ready.load(std::memory_order_acquire)) {
@@ -403,45 +411,57 @@ void WorldState::hash_folds_unlocked(std::vector<StorageFold>& folds) const {
           f.trie = f.block_cell->trie;
           f.storage_root = f.block_cell->storage_root;
           f.block_adopted = true;
-          break;
+          return std::size_t{0};
         }
         // Only the touched slots; untouched subtrees keep their memoized
         // hashes inside the persistent trie.
         for (const U256& slot : f.slots)
           writes.add(f.trie, slot, f.acct->storage.find(slot));
-        break;
+        return f.slots.size();
     }
-  }
-  writes.apply();
-
-  // Hash every written storage trie together, so each trie level's Keccak
-  // batches span all accounts.
+    return std::size_t{0};
+  };
   const auto written = [](const StorageFold& f) {
     return (f.kind == StorageFold::Kind::kBuild && !f.adopted) ||
            (f.kind == StorageFold::Kind::kApplySlots && !f.block_adopted);
   };
-  std::vector<const trie::MerklePatriciaTrie*> tries;
-  for (const StorageFold& f : folds)
-    if (written(f)) tries.push_back(&f.trie.inner());
-  trie::MerklePatriciaTrie::hash_all(tries);
+
+  // Folds go in chunks of about kChunkWork folds plus slot writes.  Each
+  // chunk hashes all its written storage tries in one hash_all call, so each
+  // trie level's Keccak batches span accounts, and publishes them before the
+  // next chunk checks its cells: a sibling replica committing the same block
+  // at the same time adopts what this one has finished, and vice versa.
+  for (std::size_t begin = 0, end = 0; begin < folds.size(); begin = end) {
+    SlotWrites writes;
+    for (std::size_t work = 0; end < folds.size() && work < kChunkWork;)
+      work += 1 + adopt_or_stage(folds[end++], writes);
+    writes.apply();
+
+    std::vector<const trie::MerklePatriciaTrie*> tries;
+    for (std::size_t i = begin; i < end; ++i)
+      if (written(folds[i])) tries.push_back(&folds[i].trie.inner());
+    trie::MerklePatriciaTrie::hash_all(tries);
+
+    for (std::size_t i = begin; i < end; ++i) {
+      StorageFold& f = folds[i];
+      if (f.kind == StorageFold::Kind::kPrune) continue;
+      if (written(f)) f.storage_root = f.trie.root_hash();
+      if (f.kind == StorageFold::Kind::kBuild) {
+        // Cross-publish so whichever cell is still empty serves the next
+        // replica (an already-ready cell makes publish_seed a no-op).
+        f.published = publish_seed(f.seed, f.trie, f.storage_root);
+        f.block_published = publish_seed(f.block_cell, f.trie, f.storage_root);
+      } else if (written(f)) {
+        f.block_published = publish_seed(f.block_cell, f.trie, f.storage_root);
+      }
+      f.encoded =
+          encode_account(*f.acct, f.storage_root, memoized_code_hash(*f.acct));
+    }
+  }
 
   std::vector<std::span<const std::uint8_t>> addrs;
   addrs.reserve(folds.size());
-  for (StorageFold& f : folds) {
-    addrs.emplace_back(f.addr.bytes);
-    if (f.kind == StorageFold::Kind::kPrune) continue;
-    if (written(f)) f.storage_root = f.trie.root_hash();
-    if (f.kind == StorageFold::Kind::kBuild) {
-      // Cross-publish so whichever cell is still empty serves the next
-      // replica (an already-ready cell makes publish_seed a no-op).
-      f.published = publish_seed(f.seed, f.trie, f.storage_root);
-      f.block_published = publish_seed(f.block_cell, f.trie, f.storage_root);
-    } else if (written(f)) {
-      f.block_published = publish_seed(f.block_cell, f.trie, f.storage_root);
-    }
-    f.encoded =
-        encode_account(*f.acct, f.storage_root, memoized_code_hash(*f.acct));
-  }
+  for (const StorageFold& f : folds) addrs.emplace_back(f.addr.bytes);
   std::vector<crypto::Digest> keys(folds.size());
   crypto::keccak256_batch(addrs, keys);
   for (std::size_t i = 0; i < folds.size(); ++i) folds[i].key_hash = keys[i];

@@ -109,21 +109,27 @@ TEST(Keccak, GoldenDigestsAcrossRateBoundaries) {
   }
 }
 
-// keccak256_batch must equal keccak256 input by input, through each build
-// of the 8-lane kernel: every length 0..700 in one call (groups of every
-// rate-block count, full and short), then batches of 1..17 mixed lengths
-// (the scalar tail, padded ways and several groups per call).
-class KeccakBatch : public ::testing::TestWithParam<detail::BatchKernel> {
+// keccak256_batch must equal keccak256 input by input, both as this CPU
+// dispatches it and through the 8-lane AVX-512 kernel called directly:
+// every length 0..700 in one call (groups of every rate-block count, full
+// and short), then batches of 1..17 mixed lengths (the scalar tail, padded
+// ways and several groups per call).
+enum class BatchPath { kDispatched, kAvx512 };
+
+class KeccakBatch : public ::testing::TestWithParam<BatchPath> {
  protected:
   void SetUp() override {
-    if (!detail::batch_kernel_supported(GetParam()))
+    if (GetParam() == BatchPath::kAvx512 && !detail::avx512_batch_supported())
       GTEST_SKIP() << "CPU lacks avx512f";
   }
 
   void expect_matches_scalar(const std::vector<std::vector<std::uint8_t>>& data) {
     std::vector<std::span<const std::uint8_t>> inputs(data.begin(), data.end());
     std::vector<Digest> out(inputs.size());
-    detail::keccak256_batch(GetParam(), inputs, out);
+    if (GetParam() == BatchPath::kAvx512)
+      detail::keccak256_batch_avx512(inputs, out);
+    else
+      keccak256_batch(inputs, out);
     for (std::size_t i = 0; i < inputs.size(); ++i)
       ASSERT_EQ(out[i], keccak256(inputs[i]))
           << "input " << i << " of " << inputs.size() << ", len "
@@ -164,12 +170,12 @@ TEST_P(KeccakBatch, MixedLengthBatchesOf1To17) {
 
 TEST_P(KeccakBatch, EmptyBatch) { expect_matches_scalar({}); }
 
-INSTANTIATE_TEST_SUITE_P(Kernels, KeccakBatch,
-                         ::testing::Values(detail::BatchKernel::kGeneric,
-                                           detail::BatchKernel::kAvx512),
+INSTANTIATE_TEST_SUITE_P(Paths, KeccakBatch,
+                         ::testing::Values(BatchPath::kDispatched,
+                                           BatchPath::kAvx512),
                          [](const auto& info) {
-                           return info.param == detail::BatchKernel::kGeneric
-                                      ? std::string("Generic")
+                           return info.param == BatchPath::kDispatched
+                                      ? std::string("Dispatched")
                                       : std::string("Avx512");
                          });
 
